@@ -1263,26 +1263,38 @@ pub fn sharded_tpcc(scale: f64) {
 /// the cost of reopening them — image load, per-line CRC verification, REWIND
 /// log recovery and in-doubt 2PC resolution — after a dirty close.
 ///
-/// Three passes over the same workload (single-key puts plus a slice of
-/// cross-shard transactions on a 2-shard store): a heap-pool baseline, the
-/// same store on per-shard pool files, then a timed [`ShardedStore::open_file`]
-/// of the dirty files. The gated headline metric is `file_recovery_us_per_mb`
-/// — reopen wall-µs per MiB of surviving pool file, the recovery-throughput
-/// floor that catches an accidental O(capacity) rescan (the image loader and
-/// CRC walk are O(file), not O(capacity), so growing a pool's *capacity*
-/// must not slow reopening its mostly-empty *file*).
+/// One workload (single-key puts plus a slice of cross-shard transactions on
+/// a 2-shard store) runs on a heap-pool baseline and then on per-shard pool
+/// files at two shard capacities, 32 MiB and 256 MiB, each followed by a
+/// timed [`ShardedStore::open_file`] of the dirty files (three runs apiece,
+/// the quickest standing for the work and the others for the host; the files
+/// are reopened as the store wrote them — a copy would fill in the holes of
+/// their CRC tables). A lone file pool at each capacity then times an empty
+/// and a one-line `sfence()`. Gated:
+///
+/// * `file_recovery_us_per_mb` — reopen wall-µs per MiB of surviving pool
+///   file at 32 MiB, the recovery-throughput floor;
+/// * `file_reopen_capacity_ratio` and `file_fence_us_capacity_ratio` (the
+///   worse of the empty and the one-line fence) — the same work at 256 MiB
+///   over 32 MiB. A fence and a reopen cost what was touched, not what the
+///   pool could hold, so both sit at ≈ 1; a capacity-proportional drain,
+///   image initialisation or CRC walk reads ≈ 8;
+/// * `file_syscalls_per_commit` — backend I/O operations (`pwrite`s and
+///   `fsync`s) per committed transaction.
 pub fn file_pool(scale: f64) {
+    const CAPACITIES: [usize; 2] = [32 << 20, 256 << 20];
     let puts = scaled(8_000, scale, 500);
     let transfers = scaled(800, scale, 50);
-    let cfg = ShardConfig::new(2).shard_capacity(32 << 20);
     header(
         "File pool: fsync-fenced commits + dirty-reopen recovery",
         &[
             "backend",
+            "shard_mib",
             "puts",
             "transfers",
             "wall_s",
             "ops_per_s",
+            "syscalls_per_commit",
             "file_mib",
             "reopen_ms",
             "recovery_us_per_mib",
@@ -1312,9 +1324,11 @@ pub fn file_pool(scale: f64) {
                 .expect("cross-shard transfer");
         }
     };
+    let ops = (puts + transfers) as f64;
 
     // Heap baseline: the same simulated-NVM store every other bench uses.
     let heap_wall = {
+        let cfg = ShardConfig::new(2).shard_capacity(CAPACITIES[0]);
         let store = ShardedStore::create(cfg).expect("create heap store");
         let t = Instant::now();
         workload(&store);
@@ -1322,10 +1336,12 @@ pub fn file_pool(scale: f64) {
     };
     row(&[
         "heap".to_string(),
+        (CAPACITIES[0] >> 20).to_string(),
         puts.to_string(),
         transfers.to_string(),
         f(heap_wall),
-        f((puts + transfers) as f64 / heap_wall.max(1e-9)),
+        f(ops / heap_wall.max(1e-9)),
+        f(0.0),
         f(0.0),
         f(0.0),
         f(0.0),
@@ -1333,60 +1349,138 @@ pub fn file_pool(scale: f64) {
     json.row(&[
         ("file", 0.0),
         ("wall_s", heap_wall),
-        ("ops_per_s", (puts + transfers) as f64 / heap_wall.max(1e-9)),
+        ("ops_per_s", ops / heap_wall.max(1e-9)),
     ]);
 
-    // File backend: every fence writes dirty lines back and fsyncs.
-    let dir = std::env::temp_dir().join(format!("rewind-bench-file-pool-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let file_wall = {
-        let store = ShardedStore::create_file(cfg, &dir).expect("create file store");
-        let t = Instant::now();
-        workload(&store);
-        t.elapsed().as_secs_f64()
-        // Dropped WITHOUT shutdown: the reopen below runs real recovery.
+    // File backend: every fence writes pending lines back and fsyncs.
+    let base = std::env::temp_dir().join(format!("rewind-bench-file-pool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let io_ops = |s: &ShardedStore| -> u64 {
+        (0..s.shard_count())
+            .map(|i| s.shard_pool(i).backend_io_ops().unwrap_or(0))
+            .sum()
     };
-    let file_bytes: u64 = std::fs::read_dir(&dir)
-        .expect("read store dir")
-        .flatten()
-        .filter_map(|e| e.metadata().ok())
-        .map(|m| m.len())
-        .sum();
-    let file_mib = file_bytes as f64 / (1 << 20) as f64;
+    let mut reopen_s_by_capacity = Vec::new();
+    for capacity in CAPACITIES {
+        let cfg = ShardConfig::new(2).shard_capacity(capacity);
+        let (mut file_wall, mut reopen_s) = (f64::INFINITY, f64::INFINITY);
+        let (mut syscalls_per_commit, mut file_mib) = (0.0, 0.0);
+        for run in 0..3 {
+            let dir = base.join(format!("cap-{}-run-{run}", capacity >> 20));
+            {
+                let store = ShardedStore::create_file(cfg, &dir).expect("create file store");
+                let (ops_before, commits_before) = (io_ops(&store), store.stats().tm.committed);
+                let t = Instant::now();
+                workload(&store);
+                file_wall = file_wall.min(t.elapsed().as_secs_f64());
+                let commits = store.stats().tm.committed - commits_before;
+                syscalls_per_commit = (io_ops(&store) - ops_before) as f64 / commits.max(1) as f64;
+                // Dropped WITHOUT shutdown: the reopen below runs real recovery.
+            }
+            let file_bytes: u64 = std::fs::read_dir(&dir)
+                .expect("read store dir")
+                .flatten()
+                .filter_map(|e| e.metadata().ok())
+                .map(|m| m.len())
+                .sum();
+            file_mib = file_bytes as f64 / (1 << 20) as f64;
 
-    // Dirty reopen: image load + CRC walk + log recovery + 2PC resolution.
-    let t = Instant::now();
-    let store = ShardedStore::open_file(cfg, &dir).expect("reopen file store");
-    let reopen_s = t.elapsed().as_secs_f64();
-    assert_eq!(
-        store.get(0).expect("read back key 0").map(|v| v[0]),
-        Some(0),
-        "reopened store lost data"
+            // Dirty reopen: image load + CRC walk + log recovery + 2PC
+            // resolution.
+            let t = Instant::now();
+            let store = ShardedStore::open_file(cfg, &dir).expect("reopen file store");
+            reopen_s = reopen_s.min(t.elapsed().as_secs_f64());
+            assert_eq!(
+                store.get(0).expect("read back key 0").map(|v| v[0]),
+                Some(0),
+                "reopened store lost data"
+            );
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let recovery_us_per_mib = reopen_s * 1e6 / file_mib.max(1e-9);
+        row(&[
+            "file".to_string(),
+            (capacity >> 20).to_string(),
+            puts.to_string(),
+            transfers.to_string(),
+            f(file_wall),
+            f(ops / file_wall.max(1e-9)),
+            f(syscalls_per_commit),
+            f(file_mib),
+            f(reopen_s * 1e3),
+            f(recovery_us_per_mib),
+        ]);
+        json.row(&[
+            ("file", 1.0),
+            ("shard_mib", (capacity >> 20) as f64),
+            ("wall_s", file_wall),
+            ("ops_per_s", ops / file_wall.max(1e-9)),
+            ("syscalls_per_commit", syscalls_per_commit),
+            ("file_mib", file_mib),
+            ("reopen_ms", reopen_s * 1e3),
+            ("recovery_us_per_mib", recovery_us_per_mib),
+        ]);
+        if capacity == CAPACITIES[0] {
+            json.summary("file_put_slowdown_vs_heap", file_wall / heap_wall.max(1e-9));
+            json.summary("file_recovery_us_per_mb", recovery_us_per_mib);
+            json.summary("file_syscalls_per_commit", syscalls_per_commit);
+        }
+        reopen_s_by_capacity.push(reopen_s);
+    }
+    json.summary(
+        "file_reopen_capacity_ratio",
+        reopen_s_by_capacity[1] / reopen_s_by_capacity[0].max(1e-9),
     );
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
 
-    let recovery_us_per_mib = reopen_s * 1e6 / file_mib.max(1e-9);
-    row(&[
-        "file".to_string(),
-        puts.to_string(),
-        transfers.to_string(),
-        f(file_wall),
-        f((puts + transfers) as f64 / file_wall.max(1e-9)),
-        f(file_mib),
-        f(reopen_s * 1e3),
-        f(recovery_us_per_mib),
-    ]);
-    json.row(&[
-        ("file", 1.0),
-        ("wall_s", file_wall),
-        ("ops_per_s", (puts + transfers) as f64 / file_wall.max(1e-9)),
-        ("file_mib", file_mib),
-        ("reopen_ms", reopen_s * 1e3),
-        ("recovery_us_per_mib", recovery_us_per_mib),
-    ]);
-    json.summary("file_put_slowdown_vs_heap", file_wall / heap_wall.max(1e-9));
-    json.summary("file_recovery_us_per_mb", recovery_us_per_mib);
+    // One fence on a lone file pool: nothing pending, then one line pending.
+    header(
+        "File pool: one sfence() by pool capacity",
+        &["pool_mib", "empty_fence_us", "one_line_fence_us"],
+    );
+    let fence_us: Vec<(f64, f64)> = CAPACITIES
+        .iter()
+        .map(|&capacity| {
+            let path = base.join(format!("fence-{}.pool", capacity >> 20));
+            let pool = NvmPool::create_file(PoolConfig::with_capacity(capacity), &path)
+                .expect("create fence pool");
+            let line = pool.alloc(64).expect("alloc");
+            pool.sfence();
+            let mut empty: Vec<f64> = (0..31)
+                .map(|_| {
+                    let t = Instant::now();
+                    for _ in 0..1_000 {
+                        pool.sfence();
+                    }
+                    t.elapsed().as_secs_f64() * 1e6 / 1_000.0
+                })
+                .collect();
+            let mut one_line: Vec<f64> = (0..101u64)
+                .map(|i| {
+                    pool.write_u64_nt(line, i);
+                    let t = Instant::now();
+                    pool.sfence();
+                    t.elapsed().as_secs_f64() * 1e6
+                })
+                .collect();
+            assert!(pool.io_error().is_none(), "fence probe hit an I/O error");
+            empty.sort_by(f64::total_cmp);
+            one_line.sort_by(f64::total_cmp);
+            let medians = (empty[empty.len() / 2], one_line[one_line.len() / 2]);
+            row(&[(capacity >> 20).to_string(), f(medians.0), f(medians.1)]);
+            json.row(&[
+                ("pool_mib", (capacity >> 20) as f64),
+                ("empty_fence_us", medians.0),
+                ("one_line_fence_us", medians.1),
+            ]);
+            medians
+        })
+        .collect();
+    json.summary(
+        "file_fence_us_capacity_ratio",
+        (fence_us[1].0 / fence_us[0].0.max(1e-9)).max(fence_us[1].1 / fence_us[0].1.max(1e-9)),
+    );
+    let _ = std::fs::remove_dir_all(&base);
     json.write_or_warn();
 }
 

@@ -16,16 +16,24 @@
 //!   survives a real `kill -9`.
 //!
 //! The contract the pool relies on: after [`PoolBackend::flush`] returns
-//! `Ok`, every line whose pending bit was set when the call began is durably
-//! on the medium. On `Err`, any line that may *not* have reached the medium
-//! still has its pending bit set (implementations restore the bits they
-//! drained before failing), so
+//! `Ok`, every line that was in the [`PendingSet`] when the call began —
+//! every line whose store happens-before the fence — is durably on the
+//! medium. On `Err`, any line that may *not* have reached the medium is back
+//! in the set, on every one of its levels (implementations
+//! [`restore`](PendingSet::restore) what they drained before failing), so
 //! [`write_back_pending`](crate::NvmPool::write_back_pending) never
-//! under-reports.
+//! under-reports and the next fence finds the lines again.
+//!
+//! The pending set is a hierarchical bitmap (a bit per line under summary
+//! levels, each one bit per word of the level below), so a flush costs what
+//! was touched since the last one, not what the pool could hold. One *I/O
+//! operation* of a backend — the unit of [`PoolBackend::io_ops`] and of
+//! fault injection — is one `pwrite` or one `fsync`; a run of adjacent
+//! pending lines is one data `pwrite` plus one CRC `pwrite`.
 
 use crate::paddr::CACHELINE;
+use crate::pending::PendingSet;
 use crate::Result;
-use std::sync::atomic::AtomicU64;
 
 /// Reads one cacheline of the persistent image; handed to
 /// [`PoolBackend::flush`] so backends never see the pool type itself.
@@ -47,11 +55,11 @@ pub trait PoolBackend: Send + Sync + std::fmt::Debug {
         false
     }
 
-    /// Drains `pending` (one bit per cacheline, 64 lines per word), writes
-    /// every drained line back to the medium via `snapshot`, and issues a
-    /// durability barrier (`fsync`). See the module documentation for the
-    /// error contract.
-    fn flush(&self, pending: &[AtomicU64], snapshot: &LineSnapshot<'_>) -> Result<()> {
+    /// Drains `pending`, writes every drained line back to the medium via
+    /// `snapshot`, and issues a durability barrier (`fsync`). A flush that
+    /// finds nothing pending issues no I/O operation. See the module
+    /// documentation for the error contract.
+    fn flush(&self, pending: &PendingSet, snapshot: &LineSnapshot<'_>) -> Result<()> {
         let _ = (pending, snapshot);
         Ok(())
     }
@@ -63,8 +71,8 @@ pub trait PoolBackend: Send + Sync + std::fmt::Debug {
         None
     }
 
-    /// Number of medium I/O operations (writes + fsyncs) issued so far, if
-    /// the backend counts them. The count is deterministic for a fixed
+    /// Number of medium I/O operations (`pwrite`s + `fsync`s) issued so far,
+    /// if the backend counts them. The count is deterministic for a fixed
     /// workload, which is how crash tests aim fault injection at an exact
     /// operation inside a window they measured on an un-faulted twin.
     fn io_ops(&self) -> Option<u64> {
@@ -94,7 +102,6 @@ mod tests {
         assert!(!b.needs_write_back());
         assert!(!b.read_only());
         assert_eq!(b.file_len(), None);
-        let pending: Vec<AtomicU64> = Vec::new();
-        b.flush(&pending, &|_| [0u8; CACHELINE]).unwrap();
+        b.flush(&PendingSet::new(0), &|_| [0u8; CACHELINE]).unwrap();
     }
 }

@@ -30,29 +30,46 @@
 //! ## Fence semantics
 //!
 //! [`NvmPool::sfence`](crate::NvmPool::sfence) on a file pool writes every
-//! pending line (data + CRC) and then `fsync`s. For a process killed with
-//! `SIGKILL` (the crash model the kill-9 harness tests), completed `write`s
-//! survive in the page cache even without the final `fsync`; the `fsync`
-//! additionally covers OS/power failure. The backend's durability claim to
-//! the pool is deliberately conservative: a fence that did not complete
-//! leaves its lines marked pending, and the pool freezes, so no caller can
-//! mistake an unfenced write for a durable one.
+//! pending line (data + CRC) and then `fsync`s. The pending lines come from
+//! a [`PendingSet`] (a bit per line under summary levels, one bit per 64-bit
+//! word of the level below), drained under the file lock from the flagged
+//! summary bits down, so a fence costs what was touched since the last one —
+//! a fence with nothing pending issues no I/O at all — whatever the pool's
+//! capacity. Writes are positional (`pwrite`, no shared
+//! cursor), and a run of adjacent pending lines goes out as one data
+//! `pwrite` plus one `pwrite` of its CRC-table entries. For a process killed
+//! with `SIGKILL` (the crash model the kill-9 harness tests), completed
+//! `pwrite`s survive in the page cache even without the final `fsync`; the
+//! `fsync` additionally covers OS/power failure. The backend's durability
+//! claim to the pool is deliberately conservative: a fence that did not
+//! complete puts its lines back into the pending set (every level), and the
+//! pool freezes, so no caller can mistake an unfenced write for a durable
+//! one.
+//!
+//! Opening follows the same rule: the image load and the CRC walk stop at
+//! the file's data extent, and a line beyond EOF — which reads as zeroes —
+//! is judged from its CRC-table entry alone. Of the table itself only the
+//! allocated stretches are read (`lseek` `SEEK_DATA`/`SEEK_HOLE`): it is
+//! reserved at full size when the file is created and stays a hole wherever
+//! no line was ever written back.
 //!
 //! ## Fault injection
 //!
-//! Every write and fsync funnels through an [`IoFaultInjector`] configured
-//! by [`FaultConfig`] (programmatically or via the `REWIND_IO_FAULTS`
-//! environment variable). Supported faults: transient `EIO` healed by the
-//! bounded retry-with-backoff loop, short writes, a torn write that persists
-//! half a cacheline and then kills the device (or the whole process), a
-//! plain `SIGKILL` at the N-th file operation, and an `fsync` failure that
-//! is fatal for that fence.
+//! Every `pwrite` and `fsync` is one *operation* and funnels through an
+//! [`IoFaultInjector`] configured by [`FaultConfig`] (programmatically or via
+//! the `REWIND_IO_FAULTS` environment variable). Supported faults: transient
+//! `EIO` healed by the bounded retry-with-backoff loop, short writes, a torn
+//! write that persists half its buffer (half a cacheline for a lone line)
+//! and then kills the device (or the whole process), a plain `SIGKILL` at
+//! the N-th file operation, and an `fsync` failure that is fatal for that
+//! fence.
 
 use crate::backend::{LineSnapshot, PoolBackend};
 use crate::paddr::CACHELINE;
+use crate::pending::PendingSet;
 use crate::{NvmError, Result};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -79,6 +96,11 @@ const FH_CRC_COVERS: usize = 40;
 
 /// Retries for a transient I/O error before it is treated as fatal.
 const MAX_IO_RETRIES: u32 = 4;
+
+/// Longest run of adjacent lines one `pwrite` carries (64 KiB of data): past
+/// this the syscall is amortised and a longer run would only grow the
+/// staging buffer (a checkpoint can leave the whole pool pending).
+const MAX_RUN_LINES: usize = 1024;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE), table-driven — no external dependencies.
@@ -120,8 +142,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 // ---------------------------------------------------------------------------
 
 /// Deterministic I/O fault plan for a file-backed pool. All counters are in
-/// units of *file operations* (each line write, CRC write and fsync is one
-/// operation), so a seed maps to an exact crash point.
+/// units of *file operations* (each `pwrite` — the data of a run of adjacent
+/// lines, or its CRC entries — and each fsync is one operation), so a seed
+/// maps to an exact crash point.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Seed for the derived choices (e.g. which half of a torn line
@@ -133,12 +156,13 @@ pub struct FaultConfig {
     /// Consecutive failures per transient-EIO hit. Values above the retry
     /// budget turn the hit into a hard failure. `0` means 2.
     pub eio_burst: u32,
-    /// Every N-th line write is split into two separate writes (a short
+    /// Every N-th write is split into two separate `pwrite`s (a short
     /// write completed by the retry loop), so a kill can land between the
     /// halves. `0` disables.
     pub short_every: u64,
-    /// At operation N, persist only half the cacheline, then fail the
-    /// operation and every later one (the device dies torn). `0` disables.
+    /// At operation N, persist only half the write's buffer (half a
+    /// cacheline for a lone line), then fail the operation and every later
+    /// one (the device dies torn). `0` disables.
     pub torn_at: u64,
     /// At operation N, fail the `fsync` (fatal for that fence) and every
     /// later operation. `0` disables.
@@ -146,8 +170,8 @@ pub struct FaultConfig {
     /// At operation N, `SIGKILL` the calling process — the real-crash
     /// harness hook. `0` disables.
     pub kill_at: u64,
-    /// At operation N, persist half the cacheline and then `SIGKILL` the
-    /// process (a torn write cut short by a real crash). `0` disables.
+    /// At operation N, persist half the write's buffer and then `SIGKILL`
+    /// the process (a torn write cut short by a real crash). `0` disables.
     pub torn_kill_at: u64,
 }
 
@@ -214,9 +238,9 @@ enum Fault {
     Transient(u32),
     /// Split the write in two (short write).
     Short,
-    /// Persist half the line, then the device dies.
+    /// Persist half the buffer, then the device dies.
     TornThenDead,
-    /// Persist half the line, then SIGKILL the process.
+    /// Persist half the buffer, then SIGKILL the process.
     TornKill,
     /// SIGKILL the process before the operation.
     Kill,
@@ -335,6 +359,8 @@ pub struct FileOpenReport {
 
 pub(crate) struct OpenedFile {
     pub backend: FileBackend,
+    /// The file's data extent, zero-padded to a whole cacheline. Everything
+    /// of the pool beyond it is zero.
     pub image: Vec<u8>,
     pub report: FileOpenReport,
 }
@@ -358,7 +384,9 @@ impl std::fmt::Debug for FileBackend {
     }
 }
 
-fn geometry(capacity: usize) -> (u64, u64) {
+/// Byte offsets of the CRC table and of the data region in a pool file of
+/// `capacity` bytes.
+pub(crate) fn geometry(capacity: usize) -> (u64, u64) {
     let lines = (capacity / CACHELINE) as u64;
     let crc_off = FILE_HEADER_SIZE;
     let crc_bytes = lines * 4;
@@ -384,6 +412,58 @@ fn read_u64_le(buf: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
+fn read_u32_le(buf: &[u8], off: usize) -> u32 {
+    let mut b = [0u8; 4];
+    b.copy_from_slice(&buf[off..off + 4]);
+    u32::from_le_bytes(b)
+}
+
+/// The stretches of `start..end` of `file` that may hold data, ascending:
+/// everything outside them is a hole and reads as zero. Where the platform
+/// or the file system cannot tell, the whole range is one stretch.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn data_ranges(file: &File, start: u64, end: u64) -> Vec<std::ops::Range<u64>> {
+    use std::ffi::c_int;
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn lseek(fd: c_int, offset: i64, whence: c_int) -> i64;
+    }
+    const SEEK_DATA: c_int = 3;
+    const SEEK_HOLE: c_int = 4;
+    let seek = |from: u64, whence: c_int| -> Option<u64> {
+        // SAFETY: `lseek` takes no pointers, and the descriptor stays open
+        // for as long as `file` is borrowed. It moves the descriptor's
+        // cursor, which nothing reads: all I/O on pool files is positional.
+        let at = unsafe { lseek(file.as_raw_fd(), i64::try_from(from).ok()?, whence) };
+        u64::try_from(at).ok()
+    };
+    let mut ranges = Vec::new();
+    let mut pos = start;
+    while pos < end {
+        // No data at or after `pos` (ENXIO) ends the walk; so does a file
+        // system that answers nonsense.
+        let Some(data) = seek(pos, SEEK_DATA).filter(|&d| d >= pos) else {
+            break;
+        };
+        if data >= end {
+            break;
+        }
+        let hole = seek(data, SEEK_HOLE).filter(|&h| h > data).unwrap_or(end);
+        ranges.push(data..hole.min(end));
+        pos = hole;
+    }
+    ranges
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn data_ranges(_file: &File, start: u64, end: u64) -> Vec<std::ops::Range<u64>> {
+    if start < end {
+        vec![start..end]
+    } else {
+        Vec::new()
+    }
+}
+
 impl FileBackend {
     /// Creates and formats a fresh pool file of the given capacity.
     pub(crate) fn create(path: &Path, capacity: usize, faults: FaultConfig) -> Result<FileBackend> {
@@ -406,17 +486,19 @@ impl FileBackend {
             faults: IoFaultInjector::new(faults),
             read_only: false,
         };
-        {
-            let mut f = backend.file.lock().unwrap();
-            let header = render_header(capacity, 1);
-            backend.faulted_write(&mut f, 0, &header)?;
-            backend.faulted_sync(&f)?;
-        }
+        backend.write_header(capacity, 1)?;
         Ok(backend)
     }
 
-    /// Opens an existing pool file, validates it, reads the whole image and
-    /// (unless `salvage`) bumps the generation stamp.
+    /// Writes and syncs the file header.
+    fn write_header(&self, capacity: usize, generation: u64) -> Result<()> {
+        let file = self.file.lock().expect("pool file lock poisoned");
+        self.faulted_write(&file, 0, &render_header(capacity, generation))?;
+        self.faulted_sync(&file)
+    }
+
+    /// Opens an existing pool file, validates it, reads the image up to the
+    /// file's data extent and (unless `salvage`) bumps the generation stamp.
     pub(crate) fn open(path: &Path, faults: FaultConfig, salvage: bool) -> Result<OpenedFile> {
         let mut report = FileOpenReport {
             path: path.to_path_buf(),
@@ -428,7 +510,7 @@ impl FileBackend {
         if !salvage {
             opts.write(true);
         }
-        let mut file = opts
+        let file = opts
             .open(path)
             .map_err(|e| NvmError::from_io(&e, &format!("open pool file {}", path.display())))?;
         let file_len = file
@@ -452,8 +534,7 @@ impl FileBackend {
                 "file is {file_len} bytes, shorter than the {FILE_HEADER_SIZE}-byte header"
             ))?;
         } else {
-            file.seek(SeekFrom::Start(0))
-                .and_then(|_| file.read_exact(&mut header))
+            file.read_exact_at(&mut header, 0)
                 .map_err(|e| NvmError::from_io(&e, "read pool file header"))?;
         }
         let magic = read_u64_le(&header, FH_MAGIC);
@@ -466,12 +547,7 @@ impl FileBackend {
                 "unsupported pool file version {version} (want {FILE_VERSION})"
             ))?;
         }
-        let stored_crc = u32::from_le_bytes([
-            header[FH_CRC],
-            header[FH_CRC + 1],
-            header[FH_CRC + 2],
-            header[FH_CRC + 3],
-        ]);
+        let stored_crc = read_u32_le(&header, FH_CRC);
         let computed_crc = crc32(&header[..FH_CRC_COVERS]);
         if magic == FILE_MAGIC && stored_crc != computed_crc {
             corrupt(format!(
@@ -513,33 +589,42 @@ impl FileBackend {
         let lines = capacity / CACHELINE;
 
         // --- CRC table + image ---
+        // The table is reserved at full size when the file is created and
+        // stays a hole wherever no line was ever written back: only its
+        // allocated stretches are read, the rest is the zero it reads as.
         let mut crcs = vec![0u8; lines * 4];
-        if file_len > crc_off {
-            let n = ((file_len - crc_off) as usize).min(crcs.len());
-            file.seek(SeekFrom::Start(crc_off))
-                .and_then(|_| file.read_exact(&mut crcs[..n]))
+        let table_end = (crc_off + crcs.len() as u64).min(file_len);
+        let table_data = data_ranges(&file, crc_off, table_end);
+        for r in &table_data {
+            let (from, to) = ((r.start - crc_off) as usize, (r.end - crc_off) as usize);
+            file.read_exact_at(&mut crcs[from..to], r.start)
                 .map_err(|e| NvmError::from_io(&e, "read pool CRC table"))?;
         }
-        let mut image = vec![0u8; capacity];
-        if file_len > data_off {
-            let n = ((file_len - data_off) as usize).min(capacity);
-            file.seek(SeekFrom::Start(data_off))
-                .and_then(|_| file.read_exact(&mut image[..n]))
-                .map_err(|e| NvmError::from_io(&e, "read pool image"))?;
-        }
-        for line in 0..lines as u64 {
-            let stored = u32::from_le_bytes([
-                crcs[line as usize * 4],
-                crcs[line as usize * 4 + 1],
-                crcs[line as usize * 4 + 2],
-                crcs[line as usize * 4 + 3],
-            ]);
-            let start = line as usize * CACHELINE;
-            let data = &image[start..start + CACHELINE];
-            let computed = crc32(data);
+        // The image stops at the file's data extent (whole lines; a file
+        // torn mid-line is padded with the zeroes a read past EOF returns).
+        let extent = (file_len.saturating_sub(data_off) as usize).min(capacity);
+        let extent_lines = extent.div_ceil(CACHELINE);
+        let mut image = vec![0u8; extent_lines * CACHELINE];
+        file.read_exact_at(&mut image[..extent], data_off)
+            .map_err(|e| NvmError::from_io(&e, "read pool image"))?;
+        for (line, data) in image.chunks_exact(CACHELINE).enumerate() {
+            let stored = read_u32_le(&crcs, line * 4);
             // `stored == 0` on an all-zero line means "never written back".
-            if stored != computed && !(stored == 0 && data.iter().all(|&b| b == 0)) {
-                report.suspect_lines.push(line);
+            if stored != crc32(data) && !(stored == 0 && data.iter().all(|&b| b == 0)) {
+                report.suspect_lines.push(line as u64);
+            }
+        }
+        // A line beyond EOF is all zero, so its table entry alone decides:
+        // never written back (0) or written back as zeroes.
+        let zero_line_crc = crc32(&[0u8; CACHELINE]);
+        for r in &table_data {
+            let first = ((r.start - crc_off) as usize / 4).max(extent_lines);
+            let last = ((r.end - crc_off) as usize).div_ceil(4).min(lines);
+            for line in first..last {
+                let stored = read_u32_le(&crcs, line * 4);
+                if stored != 0 && stored != zero_line_crc {
+                    report.suspect_lines.push(line as u64);
+                }
             }
         }
 
@@ -556,10 +641,7 @@ impl FileBackend {
         } else {
             // Stamp a new generation so restarts are distinguishable.
             report.generation = generation.wrapping_add(1);
-            let header = render_header(capacity, report.generation);
-            let mut f = backend.file.lock().unwrap();
-            backend.faulted_write(&mut f, 0, &header)?;
-            backend.faulted_sync(&f)?;
+            backend.write_header(capacity, report.generation)?;
         }
         Ok(OpenedFile {
             backend,
@@ -568,14 +650,9 @@ impl FileBackend {
         })
     }
 
-    fn raw_write(file: &mut File, off: u64, buf: &[u8]) -> std::io::Result<()> {
-        file.seek(SeekFrom::Start(off))?;
-        file.write_all(buf)
-    }
-
-    /// One logical write, funnelled through the fault injector and the
+    /// One logical `pwrite`, funnelled through the fault injector and the
     /// bounded retry-with-backoff loop.
-    fn faulted_write(&self, file: &mut File, off: u64, buf: &[u8]) -> Result<()> {
+    fn faulted_write(&self, file: &File, off: u64, buf: &[u8]) -> Result<()> {
         if self.faults.is_dead() {
             return Err(NvmError::Io {
                 kind: std::io::ErrorKind::Other,
@@ -594,7 +671,7 @@ impl FileBackend {
                 } else {
                     (off + half as u64, &buf[half..])
                 };
-                let _ = Self::raw_write(file, t_off, t_buf);
+                let _ = file.write_all_at(t_buf, t_off);
                 let _ = file.sync_data();
                 if fault == Fault::TornKill {
                     kill_self_now();
@@ -603,7 +680,8 @@ impl FileBackend {
                 return Err(NvmError::Io {
                     kind: std::io::ErrorKind::Other,
                     detail: format!(
-                        "injected torn write at offset {off}: half a cacheline persisted"
+                        "injected torn write at offset {off}: half of {} bytes persisted",
+                        buf.len()
                     ),
                 });
             }
@@ -625,10 +703,10 @@ impl FileBackend {
                 // Short write: the kernel accepted only part of the buffer;
                 // complete it with a second write.
                 let half = buf.len() / 2;
-                Self::raw_write(file, off, &buf[..half])
-                    .and_then(|_| Self::raw_write(file, off + half as u64, &buf[half..]))
+                file.write_all_at(&buf[..half], off)
+                    .and_then(|_| file.write_all_at(&buf[half..], off + half as u64))
             } else {
-                Self::raw_write(file, off, buf)
+                file.write_all_at(buf, off)
             };
             match r {
                 Ok(()) => return Ok(()),
@@ -683,6 +761,27 @@ impl FileBackend {
         self.faults.cfg.seed
     }
 
+    /// Writes `lines` (ascending) back: each run of adjacent lines is one
+    /// data `pwrite` followed by one `pwrite` of its CRC-table entries.
+    fn write_back(&self, file: &File, lines: &[u64], snapshot: &LineSnapshot<'_>) -> Result<()> {
+        let mut data = Vec::new();
+        let mut crcs = Vec::new();
+        for run in lines.chunk_by(|a, b| a + 1 == *b) {
+            for part in run.chunks(MAX_RUN_LINES) {
+                data.clear();
+                crcs.clear();
+                for &line in part {
+                    let bytes = snapshot(line);
+                    crcs.extend_from_slice(&crc32(&bytes).to_le_bytes());
+                    data.extend_from_slice(&bytes);
+                }
+                self.faulted_write(file, self.data_off + part[0] * CACHELINE as u64, &data)?;
+                self.faulted_write(file, self.crc_off + part[0] * 4, &crcs)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Path of the backing file.
     pub fn path(&self) -> &Path {
         &self.path
@@ -706,51 +805,34 @@ impl PoolBackend for FileBackend {
         self.read_only
     }
 
-    fn flush(&self, pending: &[AtomicU64], snapshot: &LineSnapshot<'_>) -> Result<()> {
+    fn flush(&self, pending: &PendingSet, snapshot: &LineSnapshot<'_>) -> Result<()> {
         if self.read_only {
             return Ok(());
         }
-        let mut file = self.file.lock().unwrap();
-        // Drain the pending bitmap under the file lock: concurrent fencers
+        let file = self.file.lock().expect("pool file lock poisoned");
+        // Drain the pending set under the file lock: concurrent fencers
         // block here, so by the time any fence returns, every line it saw
         // pending has been written and synced (by us or by the fence that
         // drained it first).
-        let mut drained: Vec<u64> = Vec::new();
-        for (w, word) in pending.iter().enumerate() {
-            let mut bits = word.swap(0, Ordering::AcqRel);
-            while bits != 0 {
-                let b = bits.trailing_zeros() as u64;
-                drained.push(w as u64 * 64 + b);
-                bits &= bits - 1;
-            }
-        }
+        let drained = pending.drain();
         if drained.is_empty() {
             return Ok(());
         }
-        let result = (|| -> Result<()> {
-            for &line in &drained {
-                let data = snapshot(line);
-                self.faulted_write(&mut file, self.data_off + line * CACHELINE as u64, &data)?;
-                let crc = crc32(&data).to_le_bytes();
-                self.faulted_write(&mut file, self.crc_off + line * 4, &crc)?;
-            }
-            self.faulted_sync(&file)
-        })();
-        if let Err(e) = result {
-            // The fence did not complete: restore every drained bit so the
+        let result = self
+            .write_back(&file, &drained, snapshot)
+            .and_then(|()| self.faulted_sync(&file));
+        if result.is_err() {
+            // The fence did not complete: put every drained line back so the
             // pool never claims durability for a line this fence covered.
-            for &line in &drained {
-                let idx = (line / 64) as usize;
-                pending[idx].fetch_or(1 << (line % 64), Ordering::Release);
-            }
-            return Err(e);
+            pending.restore(&drained);
         }
-        Ok(())
+        result
     }
 
     fn file_len(&self) -> Option<u64> {
-        let file = self.file.lock().unwrap();
-        file.metadata().ok().map(|m| m.len())
+        // By path, not through the file lock: a stats snapshot must not
+        // queue behind a fence's in-flight `fdatasync`.
+        std::fs::metadata(&self.path).ok().map(|m| m.len())
     }
 
     fn io_ops(&self) -> Option<u64> {
@@ -801,7 +883,6 @@ mod tests {
         assert_eq!(read_u64_le(&h, FH_MAGIC), FILE_MAGIC);
         assert_eq!(read_u64_le(&h, FH_CAPACITY), 4 << 20);
         assert_eq!(read_u64_le(&h, FH_GENERATION), 3);
-        let crc = u32::from_le_bytes([h[FH_CRC], h[FH_CRC + 1], h[FH_CRC + 2], h[FH_CRC + 3]]);
-        assert_eq!(crc, crc32(&h[..FH_CRC_COVERS]));
+        assert_eq!(read_u32_le(&h, FH_CRC), crc32(&h[..FH_CRC_COVERS]));
     }
 }

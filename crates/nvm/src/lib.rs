@@ -68,6 +68,7 @@ mod crash;
 mod error;
 mod file;
 mod paddr;
+mod pending;
 mod pool;
 
 pub use alloc::{AllocStats, NvmAllocator};
@@ -80,4 +81,5 @@ pub use file::{
     IO_FAULTS_ENV,
 };
 pub use paddr::{PAddr, CACHELINE, WORD};
+pub use pending::PendingSet;
 pub use pool::{NvmPool, PoolConfig, ROOT_SIZE, USER_ROOT_OFFSET};

@@ -18,6 +18,7 @@ use crate::cost::{CostModel, NvmStats, StatsSnapshot};
 use crate::crash::{CrashInjector, CrashMode};
 use crate::file::{FaultConfig, FileBackend, FileOpenReport};
 use crate::paddr::{PAddr, CACHELINE, WORD};
+use crate::pending::PendingSet;
 use crate::{AllocStats, NvmError, Result};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -121,7 +122,7 @@ pub struct NvmPool {
     track_wb: bool,
     /// Cachelines whose persistent-image content changed since the last
     /// completed backend flush (empty for heap pools).
-    wb_pending: Box<[AtomicU64]>,
+    wb_pending: PendingSet,
     /// First I/O error the backend hit; once set the pool is frozen and the
     /// error sticks until the file is reopened.
     io_error: Mutex<Option<NvmError>>,
@@ -138,6 +139,23 @@ impl std::fmt::Debug for NvmPool {
             .field("crash_mode", &self.cfg.crash_mode)
             .finish_non_exhaustive()
     }
+}
+
+/// `n` zeroed atomics straight from a zeroed allocation: the kernel hands out
+/// zero pages lazily, so a pool costs memory for what it touches, not for
+/// its capacity, and creating one does not store to every word of it.
+pub(crate) fn zeroed_atomics(n: usize) -> Box<[AtomicU64]> {
+    const _: () = assert!(
+        std::mem::size_of::<AtomicU64>() == std::mem::size_of::<u64>()
+            && std::mem::align_of::<AtomicU64>() == std::mem::align_of::<u64>()
+    );
+    let raw = Box::into_raw(vec![0u64; n].into_boxed_slice());
+    // SAFETY: `AtomicU64` has the same size and bit validity as `u64` (std
+    // documents both), and the assertion above checks that on this target
+    // the alignments agree too, so the allocation's layout is unchanged and
+    // `Box` frees it with the layout it was allocated with. The box was just
+    // created here, so no other reference to the memory exists.
+    unsafe { Box::from_raw(raw as *mut [AtomicU64]) }
 }
 
 /// Rounds a requested capacity to the pool's invariants.
@@ -223,7 +241,8 @@ impl NvmPool {
         let salvage = report.salvage;
         let mut pool = Self::assemble(cfg, capacity, Box::new(backend), Some(report));
         // Load both images from the file: after a restart, the CPU view is
-        // exactly what survived.
+        // exactly what survived. The image ends at the file's data extent;
+        // the rest of the pool is zero, as allocated.
         for (w, chunk) in image.chunks_exact(WORD).enumerate() {
             let v = u64::from_le_bytes(chunk.try_into().unwrap());
             pool.persistent[w].store(v, Ordering::Relaxed);
@@ -268,21 +287,14 @@ impl NvmPool {
     ) -> NvmPool {
         let words = capacity / WORD;
         let lines = capacity / CACHELINE;
-        let volatile: Box<[AtomicU64]> = (0..words).map(|_| AtomicU64::new(0)).collect();
-        let persistent: Box<[AtomicU64]> = (0..words).map(|_| AtomicU64::new(0)).collect();
-        let dirty: Box<[AtomicU64]> = (0..lines.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
         let track_wb = backend.needs_write_back();
-        let wb_pending: Box<[AtomicU64]> = if track_wb {
-            (0..lines.div_ceil(64)).map(|_| AtomicU64::new(0)).collect()
-        } else {
-            Box::new([])
-        };
+        let wb_pending = PendingSet::new(if track_wb { lines } else { 0 });
         NvmPool {
             cfg,
             capacity,
-            volatile,
-            persistent,
-            dirty,
+            volatile: zeroed_atomics(words),
+            persistent: zeroed_atomics(words),
+            dirty: zeroed_atomics(lines.div_ceil(64)),
             last_persist_line: AtomicU64::new(u64::MAX),
             stats: NvmStats::new(),
             crash: CrashInjector::new(),
@@ -433,8 +445,7 @@ impl NvmPool {
     #[inline]
     fn mark_wb(&self, line: u64) {
         if self.track_wb {
-            let idx = (line / 64) as usize;
-            self.wb_pending[idx].fetch_or(1 << (line % 64), Ordering::Release);
+            self.wb_pending.mark(line);
         }
     }
 
@@ -621,9 +632,11 @@ impl NvmPool {
     /// no-force checkpoint ("cache-consistent checkpoint" in §4.6) and at
     /// clean shutdown.
     pub fn flush_all(&self) {
-        let lines = self.capacity / CACHELINE;
-        for line in 0..lines as u64 {
-            if self.is_dirty(line) {
+        for (w, word) in self.dirty.iter().enumerate() {
+            let mut bits = word.load(Ordering::Relaxed);
+            while bits != 0 {
+                let line = w as u64 * 64 + bits.trailing_zeros() as u64;
+                bits &= bits - 1;
                 self.clflush(PAddr::new(line * CACHELINE as u64));
             }
         }
@@ -854,9 +867,7 @@ impl NvmPool {
         if !self.track_wb {
             return false;
         }
-        let line = addr.cacheline();
-        let idx = (line / 64) as usize;
-        self.wb_pending[idx].load(Ordering::Acquire) & (1 << (line % 64)) != 0
+        self.wb_pending.contains(addr.cacheline())
     }
 
     /// What `open_file`/`create_file` learned about the backing file
@@ -1226,7 +1237,14 @@ mod tests {
         assert_eq!(p.backend_kind(), "file-ro");
         let r = p.file_report().unwrap();
         assert!(r.salvage);
-        assert!(!r.salvage_notes.is_empty());
+        // With the header untrusted the capacity is inferred from the file
+        // size; the open still succeeds on that smaller geometry.
+        assert!(r
+            .salvage_notes
+            .iter()
+            .any(|n| n.contains("capacity inferred")));
+        assert!(r.capacity < PoolConfig::small().capacity);
+        assert_eq!(p.capacity(), r.capacity);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1248,7 +1266,16 @@ mod tests {
             p.write_u64_nt(a.word(i), 0xAB00 + i);
         }
         p.sfence(); // the torn write fires during this fence's write-back
-        assert!(p.io_error().is_some(), "torn write must surface as Io");
+        match p.io_error() {
+            // Ops 1-5 create and format the file; this fence writes line 0
+            // (the allocator frontier: ops 6, 7) and then `a`'s line, whose
+            // data `pwrite` is op 8.
+            Some(NvmError::Io { detail, .. }) => assert!(
+                detail.contains("half of 64 bytes"),
+                "op 8 must be the data write of a lone line: {detail}"
+            ),
+            other => panic!("torn write must surface as Io, got {other:?}"),
+        }
         assert!(p.crash_injector().is_frozen(), "pool freezes on I/O death");
         assert!(
             p.write_back_pending(a),
@@ -1344,6 +1371,177 @@ mod tests {
             grown > initial + (300 << 10) as u64,
             "file must grow with the write-back frontier ({initial} -> {grown})"
         );
+        // The hole between the header lines and the far line reads back as
+        // never-written memory, not as suspect lines.
+        drop(p);
+        let p = NvmPool::open_file(PoolConfig::small(), &path).unwrap();
+        let r = p.file_report().unwrap();
+        assert_eq!(r.file_len, grown);
+        assert!(r.suspect_lines.is_empty(), "{:?}", r.suspect_lines);
+        assert_eq!(p.read_u64(far.add((400 << 10) as u64)), 1);
+        assert_eq!(p.read_u64(far), 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Byte offsets of the CRC-table entry and the data of `line` in a pool
+    /// file of `capacity` bytes.
+    fn file_offsets(capacity: usize, line: u64) -> (u64, u64) {
+        let (crc_off, data_off) = crate::file::geometry(capacity);
+        (crc_off + line * 4, data_off + line * CACHELINE as u64)
+    }
+
+    #[test]
+    fn reopen_reports_exactly_the_torn_line_and_the_bad_entry_beyond_eof() {
+        use std::os::unix::fs::FileExt;
+        let path = tmpfile("open-equiv");
+        let cap = PoolConfig::small().capacity;
+        let a;
+        {
+            let p = NvmPool::create_file(PoolConfig::small(), &path).unwrap();
+            a = p.alloc(256).unwrap();
+            for i in 0..32 {
+                p.write_u64_nt(a.word(i), 0x1000 + i);
+            }
+            p.sfence();
+        }
+        let file_len = std::fs::metadata(&path).unwrap().len();
+        let torn = a.cacheline() + 1;
+        let (_, torn_data) = file_offsets(cap, torn);
+        let beyond = (cap / CACHELINE) as u64 - 7;
+        let (beyond_crc, beyond_data) = file_offsets(cap, beyond);
+        let (zeroed_crc, _) = file_offsets(cap, beyond - 100);
+        assert!(torn_data + 64 <= file_len && beyond_data > file_len);
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        // A torn line inside the data extent: half of it never arrived.
+        f.write_all_at(&[0u8; 32], torn_data).unwrap();
+        // Beyond EOF the data reads as zeroes: a garbage table entry is
+        // suspect, the CRC of a zero line is a line written back as zeroes.
+        f.write_all_at(&0xDEAD_BEEFu32.to_le_bytes(), beyond_crc)
+            .unwrap();
+        f.write_all_at(&crate::crc32(&[0u8; CACHELINE]).to_le_bytes(), zeroed_crc)
+            .unwrap();
+        drop(f);
+
+        let p = NvmPool::open_file(PoolConfig::small(), &path).unwrap();
+        let r = p.file_report().unwrap();
+        assert_eq!(r.suspect_lines, vec![torn, beyond]);
+        assert_eq!(
+            r.file_len, file_len,
+            "the CRC patches must not grow the file"
+        );
+        assert_eq!(
+            p.read_u64(a),
+            0x1000,
+            "lines around the torn one are intact"
+        );
+        assert_eq!(p.read_u64(PAddr::new(beyond * CACHELINE as u64)), 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn concurrent_fencers_on_a_large_file_pool_each_see_their_lines_durable() {
+        // 128 MiB: 512 summary words over 32 768 bitmap words. The four
+        // threads store to adjacent lines (one bitmap word, one summary bit)
+        // and hop to another summary bit every round.
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 16;
+        const HOP: u64 = (4096 + 64) * CACHELINE as u64;
+        let path = tmpfile("fencers");
+        let cfg = PoolConfig::with_capacity(128 << 20);
+        let p = NvmPool::create_file(cfg, &path).unwrap();
+        let base = p.alloc((ROUNDS * HOP) as usize).unwrap();
+        let addr = move |t: u64, r: u64| base.add(r * HOP + t * CACHELINE as u64);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (p, start) = (&p, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for r in 0..ROUNDS {
+                        p.write_u64_nt(addr(t, r), t * 1000 + r + 1);
+                        p.sfence();
+                        assert!(
+                            !p.write_back_pending(addr(t, r)),
+                            "thread {t} round {r}: own line still pending after own fence"
+                        );
+                    }
+                });
+            }
+        });
+        assert!(p.io_error().is_none());
+        assert!(p.wb_pending.summary_covers_words());
+        drop(p);
+        let p = NvmPool::open_file(cfg, &path).unwrap();
+        assert!(p.file_report().unwrap().suspect_lines.is_empty());
+        for t in 0..THREADS {
+            for r in 0..ROUNDS {
+                assert_eq!(p.read_u64(addr(t, r)), t * 1000 + r + 1, "t{t} r{r}");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn failed_fence_restores_both_levels_of_the_pending_set() {
+        let path = tmpfile("restore");
+        // Ops 1-5 create and format the file; `>=` makes the next fence's
+        // fsync fail after every one of its lines was written.
+        let p = NvmPool::create_file_with_faults(
+            PoolConfig::with_capacity(32 << 20),
+            &path,
+            FaultConfig {
+                fsync_fail_at: 6,
+                ..FaultConfig::default()
+            },
+        )
+        .unwrap();
+        let base = p.alloc(8 << 20).unwrap();
+        // Adjacent lines, lines sharing a bitmap word, and lines under other
+        // summary bits.
+        let addrs: Vec<PAddr> = [0u64, 1, 2, 40, 64, 5000, 70_000, 130_000]
+            .iter()
+            .map(|l| base.add(l * CACHELINE as u64))
+            .collect();
+        for (i, &a) in addrs.iter().enumerate() {
+            p.write_u64_nt(a, i as u64 + 1);
+        }
+        p.sfence();
+        assert!(
+            p.io_error().is_some(),
+            "the injected fsync failure must surface"
+        );
+        for &a in &addrs {
+            assert!(
+                p.write_back_pending(a),
+                "{a} not pending after a failed fence"
+            );
+        }
+        assert!(p.wb_pending.summary_covers_words());
+        // What the next attempt would find: every line of the failed fence.
+        let again = p.wb_pending.drain();
+        for &a in &addrs {
+            assert!(again.contains(&a.cacheline()), "{a} lost to the next drain");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn fence_with_nothing_pending_issues_no_io() {
+        let path = tmpfile("empty-fence");
+        let p = NvmPool::create_file(PoolConfig::small(), &path).unwrap();
+        let a = p.alloc(256).unwrap();
+        for i in 0..32 {
+            p.write_u64_nt(a.word(i), i);
+        }
+        let before = p.backend_io_ops().unwrap();
+        p.sfence();
+        // Line 0 (allocator frontier) and the four adjacent lines of `a`:
+        // two runs, each one data pwrite + one CRC pwrite, then the fsync.
+        assert_eq!(p.backend_io_ops().unwrap() - before, 5);
+        let quiet = p.backend_io_ops().unwrap();
+        p.sfence();
+        p.sync_backend().unwrap();
+        assert_eq!(p.backend_io_ops().unwrap(), quiet);
         let _ = std::fs::remove_file(&path);
     }
 

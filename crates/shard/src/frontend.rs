@@ -11,6 +11,18 @@
 //! reference to the store, so dropping the last external handle shuts the
 //! pool down and fails still-queued submissions with
 //! [`RewindError::Canceled`](rewind_core::RewindError::Canceled).
+//!
+//! Dispatch is by declared shard set: a transaction that declared its keys
+//! is handed to a worker only while no running transaction declared one of
+//! the same shards (and no earlier queued one is waiting for them), so
+//! conflicting transactions run one after the other in submission order and
+//! no worker parks on a shard lock another worker's transaction holds.
+//! Handing it out earlier buys nothing the shard lock would not take back,
+//! except that queued prepare lets the next transaction's prepare start
+//! while the previous one's END records are still being fenced on the same
+//! pools — and then which of the two drains whose lines at the pool's file
+//! lock depends on wake-up latency, so throughput flips between regimes from
+//! one run to the next. Undeclared transactions are never held back.
 
 use crate::store::ShardedStore;
 use parking_lot::{Condvar, Mutex};
@@ -26,6 +38,13 @@ use std::thread::JoinHandle;
 /// the pool shut down before a worker claimed it (the job must then settle
 /// its handle with [`RewindError::Canceled`](rewind_core::RewindError::Canceled)).
 type Job = Box<dyn FnOnce(Option<&ShardedStore>) + Send>;
+
+/// A [`Job`] with the shards its transaction declared (ascending, distinct;
+/// empty when it declared none).
+struct Queued {
+    shards: Vec<usize>,
+    job: Job,
+}
 
 struct TxState<T> {
     result: Option<Result<T>>,
@@ -173,12 +192,50 @@ impl<T> Future for TxCompletion<T> {
 
 #[derive(Default)]
 struct TxPoolState {
-    jobs: VecDeque<Job>,
+    jobs: VecDeque<Queued>,
+    /// Per shard: whether a running job declared it. Grows on demand.
+    busy: Vec<bool>,
     workers: Vec<JoinHandle<()>>,
+    /// Cap on `workers`, as of the latest submission.
+    max_workers: usize,
     /// Workers currently parked on the condvar: a submission spawns a new
     /// worker only when nobody idle can take it (lazy growth).
     idle: usize,
     shutdown: bool,
+}
+
+impl TxPoolState {
+    /// Index of the first queued job that may start: none of its shards is
+    /// declared by a running job, nor by a job queued ahead of it (a later
+    /// job never overtakes an earlier one it conflicts with, so a wide
+    /// transaction cannot starve behind a stream of narrow ones).
+    fn next_runnable(&self) -> Option<usize> {
+        let mut claimed: Vec<usize> = Vec::new();
+        self.jobs.iter().position(|q| {
+            let free = q
+                .shards
+                .iter()
+                .all(|s| !self.busy.get(*s).copied().unwrap_or(false) && !claimed.contains(s));
+            if !free {
+                claimed.extend_from_slice(&q.shards);
+            }
+            free
+        })
+    }
+
+    /// Removes the first runnable job and marks its shards busy.
+    fn take_runnable(&mut self) -> Option<Queued> {
+        let q = self.jobs.remove(self.next_runnable()?)?;
+        if let Some(&last) = q.shards.last() {
+            if self.busy.len() <= last {
+                self.busy.resize(last + 1, false);
+            }
+        }
+        for &s in &q.shards {
+            self.busy[s] = true;
+        }
+        Some(q)
+    }
 }
 
 impl std::fmt::Debug for TxPoolState {
@@ -203,48 +260,74 @@ pub(crate) struct TxPool {
 }
 
 impl TxPool {
-    /// Enqueues `job`, growing the pool (up to `max_workers`) when no idle
-    /// worker is available to claim it. `store` must be the owner of this
-    /// pool — workers only ever hold it weakly.
+    /// Enqueues `job`, whose transaction declared `shards` (any order,
+    /// repeats allowed, empty for none), growing the pool (up to
+    /// `max_workers`) when no idle worker is available to claim it. `store`
+    /// must be the owner of this pool — workers only ever hold it weakly.
     pub(crate) fn submit(
         self: &Arc<Self>,
         store: &Arc<ShardedStore>,
         max_workers: usize,
+        mut shards: Vec<usize>,
         job: Job,
     ) {
+        shards.sort_unstable();
+        shards.dedup();
         let mut st = self.state.lock();
         if st.shutdown {
             drop(st);
             job(None);
             return;
         }
-        st.jobs.push_back(job);
-        if st.idle == 0 && st.workers.len() >= max_workers {
+        st.max_workers = max_workers;
+        st.jobs.push_back(Queued { shards, job });
+        self.dispatch(&mut st, &Arc::downgrade(store));
+    }
+
+    /// Gets a worker for the first runnable job, if there is one: wakes an
+    /// idle worker, or spawns one below the cap. A job that cannot start yet
+    /// needs nobody — the worker whose job it waits for rescans the queue
+    /// when that job returns.
+    fn dispatch(self: &Arc<Self>, st: &mut TxPoolState, store: &Weak<ShardedStore>) {
+        if st.next_runnable().is_none() {
+            return;
+        }
+        if st.idle > 0 {
+            self.cv.notify_one();
+            return;
+        }
+        if st.workers.len() >= st.max_workers {
             // A worker that panicked out of its loop still occupies a slot
             // in `workers` — drop finished handles so a burst of panics
             // cannot permanently shrink the effective pool to zero.
             st.workers.retain(|w| !w.is_finished());
         }
-        if st.idle == 0 && st.workers.len() < max_workers {
+        if st.workers.len() < st.max_workers {
             let pool = Arc::clone(self);
-            let weak: Weak<ShardedStore> = Arc::downgrade(store);
+            let weak = Weak::clone(store);
             let worker = std::thread::Builder::new()
                 .name(format!("rewind-txworker-{}", st.workers.len()))
                 .spawn(move || Self::worker_loop(pool, weak))
                 .expect("spawn transaction worker");
             st.workers.push(worker);
         }
-        drop(st);
-        self.cv.notify_one();
     }
 
     fn worker_loop(pool: Arc<TxPool>, weak: Weak<ShardedStore>) {
+        let mut held: Vec<usize> = Vec::new();
         loop {
             let job = {
                 let mut st = pool.state.lock();
+                // The shards of the job that just returned are free again;
+                // this worker is the one that rescans the queue for them.
+                for s in held.drain(..) {
+                    st.busy[s] = false;
+                }
                 loop {
-                    if let Some(job) = st.jobs.pop_front() {
-                        break Some(job);
+                    if let Some(q) = st.take_runnable() {
+                        // Freed shards may have unblocked more than one job.
+                        pool.dispatch(&mut st, &weak);
+                        break Some(q);
                     }
                     if st.shutdown {
                         break None;
@@ -254,7 +337,10 @@ impl TxPool {
                     st.idle -= 1;
                 }
             };
-            let Some(job) = job else { return };
+            let Some(Queued { shards, job }) = job else {
+                return;
+            };
+            held = shards;
             // A strong handle exists only for the duration of one job —
             // while it does, the store cannot drop; once no submission and
             // no job holds one, the store's drop shuts this pool down.
@@ -278,6 +364,11 @@ impl TxPool {
     /// Store-drop half: stops every worker and cancels the backlog. Called
     /// with no strong store references left anywhere (workers park without
     /// one), so no submitted transaction can still be running.
+    ///
+    /// The caller may itself be a worker: its strong handle outlives the
+    /// job's response, so when the submitter drops its own handle in that
+    /// window the worker drops the store. It cannot join itself (`EDEADLK`);
+    /// its handle is dropped instead and it leaves its loop on return.
     pub(crate) fn shutdown(&self) {
         let (jobs, workers) = {
             let mut st = self.state.lock();
@@ -288,11 +379,14 @@ impl TxPool {
             )
         };
         self.cv.notify_all();
-        for job in jobs {
-            job(None);
+        for q in jobs {
+            (q.job)(None);
         }
+        let me = std::thread::current().id();
         for w in workers {
-            let _ = w.join();
+            if w.thread().id() != me {
+                let _ = w.join();
+            }
         }
     }
 }
@@ -405,7 +499,12 @@ mod tests {
         let slot = TxSlot::<u32>::new();
         let c = TxCompletion::new(Arc::clone(&slot));
         let job_slot = Arc::clone(&slot);
-        pool.submit(&store, 2, Box::new(move |_| job_slot.deliver(Ok(42))));
+        pool.submit(
+            &store,
+            2,
+            Vec::new(),
+            Box::new(move |_| job_slot.deliver(Ok(42))),
+        );
         let r = wait_with_watchdog(c, "dead workers still count toward max_workers");
         assert_eq!(r.unwrap(), 42);
         pool.shutdown();
@@ -419,14 +518,131 @@ mod tests {
         // can only run if the same worker survived or was replaced.
         let store = tiny_store();
         let pool = Arc::new(TxPool::default());
-        pool.submit(&store, 1, Box::new(|_| panic!("raw job panic")));
+        pool.submit(&store, 1, Vec::new(), Box::new(|_| panic!("raw job panic")));
         let slot = TxSlot::<u32>::new();
         let c = TxCompletion::new(Arc::clone(&slot));
         let job_slot = Arc::clone(&slot);
-        pool.submit(&store, 1, Box::new(move |_| job_slot.deliver(Ok(7))));
+        pool.submit(
+            &store,
+            1,
+            Vec::new(),
+            Box::new(move |_| job_slot.deliver(Ok(7))),
+        );
         let r = wait_with_watchdog(c, "worker died on a panicking job and was never replaced");
         assert_eq!(r.unwrap(), 7);
         pool.shutdown();
+    }
+
+    #[test]
+    fn conflicting_declared_jobs_run_one_at_a_time_in_order() {
+        use std::sync::mpsc::channel;
+        let store = tiny_store();
+        let pool = Arc::new(TxPool::default());
+        let (started_tx, started_rx) = channel::<&'static str>();
+        let (release_tx, release_rx) = channel::<()>();
+        type Gate = Option<std::sync::mpsc::Receiver<()>>;
+        let submit = |name: &'static str, shards: Vec<usize>, gate: Gate| {
+            let started = started_tx.clone();
+            let job: Job = Box::new(move |_| {
+                started.send(name).ok();
+                if let Some(rx) = gate {
+                    rx.recv().ok();
+                }
+            });
+            pool.submit(&store, 3, shards, job);
+        };
+        let soon = std::time::Duration::from_secs(30);
+        let not_yet = std::time::Duration::from_millis(100);
+
+        // `a` holds shard 0 until released. `wide` wants 0 and 1 and waits
+        // for it; `narrow` wants only the free shard 1 but was submitted
+        // after `wide`, which it must not overtake; `apart` shares nothing
+        // with anyone and runs next to `a`.
+        submit("a", vec![0], Some(release_rx));
+        assert_eq!(started_rx.recv_timeout(soon).unwrap(), "a");
+        submit("wide", vec![1, 0, 1], None);
+        submit("narrow", vec![1], None);
+        submit("apart", vec![2], None);
+        assert_eq!(started_rx.recv_timeout(soon).unwrap(), "apart");
+        assert!(
+            started_rx.recv_timeout(not_yet).is_err(),
+            "a job started on a shard a running or earlier-queued job declared"
+        );
+        release_tx.send(()).unwrap();
+        assert_eq!(started_rx.recv_timeout(soon).unwrap(), "wide");
+        assert_eq!(started_rx.recv_timeout(soon).unwrap(), "narrow");
+
+        // Everything returned: nothing is left busy, and an undeclared job
+        // is never held back.
+        submit("undeclared", Vec::new(), None);
+        assert_eq!(started_rx.recv_timeout(soon).unwrap(), "undeclared");
+        pool.shutdown();
+        let st = pool.state.lock();
+        assert!(st.jobs.is_empty() && st.busy.iter().all(|b| !b));
+    }
+
+    #[test]
+    fn shutdown_from_a_worker_does_not_join_itself() {
+        let store = tiny_store();
+        let pool = Arc::new(TxPool::default());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let inner = Arc::clone(&pool);
+        pool.submit(
+            &store,
+            1,
+            Vec::new(),
+            Box::new(move |_| {
+                inner.shutdown();
+                done_tx.send(()).ok();
+            }),
+        );
+        // A self-join panics with EDEADLK inside the job; the worker loop
+        // swallows the unwind, so the only trace is the missing send.
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a worker running shutdown() must skip its own handle");
+    }
+
+    #[test]
+    fn worker_dropping_the_last_store_handle_leaves_a_reopenable_store() {
+        use std::sync::mpsc::channel;
+        let dir =
+            std::env::temp_dir().join(format!("rewind-shard-last-handle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = crate::ShardConfig::new(2).shard_capacity(4 << 20);
+        let store = Arc::new(ShardedStore::create_file(cfg, &dir).unwrap());
+        let pool0 = Arc::clone(store.shard_pool(0));
+
+        // The closure parks inside the job — the worker holds its strong
+        // handle — until the submitter has dropped its own, so the worker's
+        // handle is the last one when the job returns.
+        let (started_tx, started_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let c = store.submit_transact(move |tx| {
+            started_tx.send(()).ok();
+            release_rx.recv().ok();
+            tx.put(7, [7, 1, 2, 3])
+        });
+        started_rx.recv().unwrap();
+        drop(store);
+        release_tx.send(()).unwrap();
+        wait_with_watchdog(c, "transaction never settled").unwrap();
+
+        // The store is torn down on the worker thread; its pools go with it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while Arc::strong_count(&pool0) > 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "store never finished dropping on the worker thread"
+            );
+            std::thread::yield_now();
+        }
+        drop(pool0);
+
+        let store = ShardedStore::open_file(cfg, &dir).unwrap();
+        assert_eq!(store.get(7).unwrap(), Some([7, 1, 2, 3]));
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -435,10 +651,13 @@ mod tests {
         let slot = TxSlot::<u32>::new();
         let c = TxCompletion::new(Arc::clone(&slot));
         // Enqueue directly (no store, no worker): shutdown must settle it.
-        pool.state.lock().jobs.push_back(Box::new(move |store| {
-            assert!(store.is_none());
-            slot.deliver(Err(RewindError::Canceled));
-        }));
+        pool.state.lock().jobs.push_back(Queued {
+            shards: Vec::new(),
+            job: Box::new(move |store| {
+                assert!(store.is_none());
+                slot.deliver(Err(RewindError::Canceled));
+            }),
+        });
         pool.shutdown();
         assert!(matches!(c.wait(), Err(RewindError::Canceled)));
         // Submissions after shutdown cancel immediately.

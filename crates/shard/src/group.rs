@@ -7,12 +7,12 @@
 //! group can fill) and commits the whole batch as one REWIND transaction.
 //! Every operation's outcome is delivered through its [`Completion`]
 //! handle, which a caller can block on, poll, `await`, cancel, or simply
-//! drop. This is the classic leader/follower group commit with the leader
-//! role made a service: the paper's Batch log amortizes one fence across
-//! the records *of one transaction*; the group pipeline amortizes the whole
-//! commit protocol (END record, fence, log clearing) across *many user
-//! requests* — and the async surface is what manufactures that concurrency
-//! from a single submitting thread.
+//! drop. No writer ever commits on behalf of the others: the committer
+//! thread is the only one that does. The paper's Batch log amortizes one
+//! fence across the records *of one transaction*; the group pipeline
+//! amortizes the whole commit protocol (END record, fence, log clearing)
+//! across *many user requests* — and the async surface is what manufactures
+//! that concurrency from a single submitting thread.
 
 use parking_lot::{Condvar, Mutex};
 use rewind_core::{Result, RewindError};

@@ -432,7 +432,10 @@ impl ShardedStore {
 
     /// Asynchronous [`ShardedStore::transact_keys`]: like
     /// [`ShardedStore::submit_transact`] with a declared key set, locked in
-    /// shard order up front when the transaction runs.
+    /// shard order up front when the transaction runs. The worker pool
+    /// starts it only once no running transaction declared one of the same
+    /// shards (and no earlier submission is waiting for them): conflicting
+    /// declared transactions run back to back, in submission order.
     pub fn submit_transact_keys<T, F>(self: &Arc<Self>, keys: Vec<u64>, mut f: F) -> TxCompletion<T>
     where
         T: Send + 'static,
@@ -441,6 +444,7 @@ impl ShardedStore {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let slot = TxSlot::new();
         let job_slot = Arc::clone(&slot);
+        let shards: Vec<usize> = keys.iter().map(|&k| self.shard_of(k)).collect();
         let job = Box::new(move |store: Option<&ShardedStore>| {
             let Some(s) = store else {
                 job_slot.deliver(Err(rewind_core::RewindError::Canceled));
@@ -470,7 +474,7 @@ impl ShardedStore {
                 ))),
             });
         });
-        self.tx_pool.submit(self, self.cfg.shards, job);
+        self.tx_pool.submit(self, self.cfg.shards, shards, job);
         TxCompletion::new(slot)
     }
 
