@@ -1480,6 +1480,71 @@ pub fn file_pool(scale: f64) {
         "file_fence_us_capacity_ratio",
         (fence_us[1].0 / fence_us[0].0.max(1e-9)).max(fence_us[1].1 / fence_us[0].1.max(1e-9)),
     );
+
+    // The shipped configuration over a long overwrite run: its automatic
+    // checkpoints keep the live log per shard near the checkpoint interval.
+    // A fixed 200 000 PUTs at every scale, so that a store that stopped
+    // checkpointing would pass 2x the interval on each shard well before
+    // the end.
+    const SOAK_PUTS: u64 = 200_000;
+    header(
+        "File pool: live log records over a long run (shipped config)",
+        &[
+            "puts",
+            "checkpoints",
+            "max_log_records_per_shard",
+            "file_mib",
+            "wall_s",
+        ],
+    );
+    let dir = base.join("soak");
+    let store = ShardedStore::create_file(ShardConfig::new(2), &dir).expect("create soak store");
+    let t = Instant::now();
+    let mut inflight = std::collections::VecDeque::with_capacity(256);
+    let mut max_log_records = 0u64;
+    for i in 0..SOAK_PUTS {
+        inflight.push_back(store.submit_put(i % 4096, [i, !i, i ^ 0xff, 1]));
+        if inflight.len() == 256 {
+            inflight
+                .pop_front()
+                .expect("window is full")
+                .wait()
+                .expect("soak put");
+        }
+        if i % 1024 == 0 {
+            for s in store.per_shard_stats() {
+                max_log_records = max_log_records.max(s.log_records);
+            }
+        }
+    }
+    for c in inflight {
+        c.wait().expect("soak put");
+    }
+    let soak_wall = t.elapsed().as_secs_f64();
+    let checkpoints = store.stats().tm.checkpoints;
+    drop(store);
+    let soak_mib = std::fs::read_dir(&dir)
+        .expect("read soak dir")
+        .flatten()
+        .filter_map(|e| e.metadata().ok())
+        .map(|m| m.len())
+        .sum::<u64>() as f64
+        / (1 << 20) as f64;
+    row(&[
+        SOAK_PUTS.to_string(),
+        checkpoints.to_string(),
+        max_log_records.to_string(),
+        f(soak_mib),
+        f(soak_wall),
+    ]);
+    json.row(&[
+        ("soak_puts", SOAK_PUTS as f64),
+        ("checkpoints", checkpoints as f64),
+        ("max_log_records_per_shard", max_log_records as f64),
+        ("file_mib", soak_mib),
+        ("wall_s", soak_wall),
+    ]);
+    json.summary("file_max_log_records_per_shard", max_log_records as f64);
     let _ = std::fs::remove_dir_all(&base);
     json.write_or_warn();
 }

@@ -16,6 +16,14 @@
 //!   most real NVM allocators that defer compaction to a garbage-collection
 //!   pass. REWIND itself defers de-allocation of user memory with `DELETE` log
 //!   records, so the log never depends on the free lists being durable.
+//! * A freed block is *parked* until the next completed fence. The store
+//!   that made it garbage (a log cell overwritten with a gap, an unlinked
+//!   list node) may still be in flight when `free` is called; handing the
+//!   block out at once would let its next owner's content reach the medium
+//!   before that store does, and a crash in between leaves a persistent
+//!   pointer aimed at someone else's data. The pool moves the parked blocks
+//!   to the free lists only after a fence that began after they were freed
+//!   has completed.
 //!
 //! Allocations of a cacheline or more are cacheline-aligned so that log
 //! buckets and log records never straddle lines unnecessarily; smaller
@@ -25,6 +33,7 @@ use crate::paddr::{PAddr, CACHELINE, WORD};
 use crate::{NvmError, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Allocation statistics, exposed for tests and the benchmark harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,13 +75,24 @@ struct AllocInner {
     /// allocation size (every log record is exactly one cacheline), served
     /// without touching the `HashMap` while the global mutex is held.
     line_slab: Vec<u64>,
+    /// Freed blocks, as `(offset, class)`, waiting for the next completed
+    /// fence before they may be handed out again.
+    parked: Vec<(u64, usize)>,
     stats: AllocStats,
 }
+
+/// Blocks freed before a fence began, taken by [`NvmAllocator::take_parked`]
+/// and returned to the free lists by [`NvmAllocator::release`] once that
+/// fence completed.
+pub(crate) type Parked = Vec<(u64, usize)>;
 
 /// The pool's allocator. All methods are internally synchronized.
 #[derive(Debug)]
 pub struct NvmAllocator {
     inner: Mutex<AllocInner>,
+    /// `true` while `inner.parked` may be non-empty: lets a fence skip the
+    /// allocator lock when nothing was freed since the last one.
+    has_parked: AtomicBool,
     heap_start: u64,
 }
 
@@ -101,11 +121,13 @@ impl NvmAllocator {
                 end: capacity,
                 free_lists: HashMap::new(),
                 line_slab: Vec::new(),
+                parked: Vec::new(),
                 stats: AllocStats {
                     frontier,
                     ..AllocStats::default()
                 },
             }),
+            has_parked: AtomicBool::new(false),
         }
     }
 
@@ -146,25 +168,55 @@ impl NvmAllocator {
         Ok((PAddr::new(start), Some(new_frontier)))
     }
 
-    /// Returns a block to its size-class free list (volatile bookkeeping).
+    /// Frees a block (volatile bookkeeping). The block is parked until the
+    /// next completed fence: it joins its size-class free list only through
+    /// [`NvmAllocator::release`]. Invalid frees are rejected here.
     pub(crate) fn free_raw(&self, addr: PAddr, size: usize) -> Result<()> {
         let class = size_class(size);
         let mut inner = self.inner.lock();
-        if addr.offset() < self.heap_start || addr.offset() + class as u64 > inner.frontier {
+        Self::check_free(&inner, self.heap_start, addr, class)?;
+        inner.parked.push((addr.offset(), class));
+        inner.stats.freed_bytes += class as u64;
+        self.has_parked.store(true, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Takes every block parked so far. A fence calls this before it starts
+    /// and hands the batch to [`NvmAllocator::release`] once it completed;
+    /// blocks parked meanwhile wait for the next fence.
+    pub(crate) fn take_parked(&self) -> Option<Parked> {
+        // A free that happens-before the fence set the flag before it, so a
+        // relaxed load sees it; a concurrent free is left to the next fence.
+        if !self.has_parked.load(Ordering::Relaxed) {
+            return None;
+        }
+        let mut inner = self.inner.lock();
+        self.has_parked.store(false, Ordering::Relaxed);
+        Some(std::mem::take(&mut inner.parked))
+    }
+
+    /// Makes a batch from [`NvmAllocator::take_parked`] reusable.
+    pub(crate) fn release(&self, parked: Parked) {
+        let mut inner = self.inner.lock();
+        for (off, class) in parked {
+            Self::push_free(&mut inner, off, class);
+        }
+    }
+
+    fn check_free(inner: &AllocInner, heap_start: u64, addr: PAddr, class: usize) -> Result<()> {
+        if addr.offset() < heap_start || addr.offset() + class as u64 > inner.frontier {
             return Err(NvmError::InvalidFree(addr.offset()));
         }
-        if class == CACHELINE {
-            inner.line_slab.push(addr.offset());
-        } else {
-            inner
-                .free_lists
-                .entry(class)
-                .or_default()
-                .push(addr.offset());
-        }
-        inner.stats.freed_bytes += class as u64;
-        inner.stats.free_blocks += 1;
         Ok(())
+    }
+
+    fn push_free(inner: &mut AllocInner, off: u64, class: usize) {
+        if class == CACHELINE {
+            inner.line_slab.push(off);
+        } else {
+            inner.free_lists.entry(class).or_default().push(off);
+        }
+        inner.stats.free_blocks += 1;
     }
 
     /// Discards all volatile allocator state and restarts from the persisted
@@ -174,6 +226,8 @@ impl NvmAllocator {
         inner.frontier = frontier.max(self.heap_start);
         inner.free_lists.clear();
         inner.line_slab.clear();
+        inner.parked.clear();
+        self.has_parked.store(false, Ordering::Relaxed);
         inner.stats = AllocStats {
             frontier: inner.frontier,
             ..AllocStats::default()
@@ -195,6 +249,13 @@ impl NvmAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What a completed fence does to the blocks freed before it.
+    fn fence(a: &NvmAllocator) {
+        if let Some(parked) = a.take_parked() {
+            a.release(parked);
+        }
+    }
 
     #[test]
     fn size_classes_round_up() {
@@ -228,6 +289,7 @@ mod tests {
         let a = NvmAllocator::new(4096, 1 << 20, 4096);
         let (x, _) = a.alloc_raw(64).unwrap();
         a.free_raw(x, 64).unwrap();
+        fence(&a);
         let (y, moved) = a.alloc_raw(64).unwrap();
         assert_eq!(x, y, "freed block should be reused");
         assert!(moved.is_none(), "reuse must not move the frontier");
@@ -245,6 +307,7 @@ mod tests {
         a.free_raw(x, 64).unwrap();
         a.free_raw(y, 64).unwrap();
         a.free_raw(small, 16).unwrap();
+        fence(&a);
         assert_eq!(a.stats().free_blocks, 3);
         let (r1, m1) = a.alloc_raw(64).unwrap();
         let (r2, m2) = a.alloc_raw(64).unwrap();
@@ -254,6 +317,27 @@ mod tests {
         let (s, _) = a.alloc_raw(16).unwrap();
         assert_eq!(s, small, "small classes still use their free list");
         assert_eq!(a.stats().free_blocks, 0);
+    }
+
+    #[test]
+    fn freed_blocks_wait_for_the_next_fence() {
+        let a = NvmAllocator::new(4096, 1 << 20, 4096);
+        let (x, _) = a.alloc_raw(64).unwrap();
+        a.free_raw(x, 64).unwrap();
+        assert_eq!(a.stats().free_blocks, 0, "parked, not yet free");
+        let (y, moved) = a.alloc_raw(64).unwrap();
+        assert_ne!(x, y, "a parked block is not handed out");
+        assert!(moved.is_some());
+        // A fence takes the batch when it begins; a block freed while it
+        // runs waits for the next one.
+        let batch = a.take_parked().expect("x is parked");
+        a.free_raw(y, 64).unwrap();
+        a.release(batch);
+        assert_eq!(a.alloc_raw(64).unwrap().0, x);
+        assert_ne!(a.alloc_raw(64).unwrap().0, y);
+        fence(&a);
+        assert_eq!(a.alloc_raw(64).unwrap().0, y);
+        assert!(a.take_parked().is_none(), "nothing left parked");
     }
 
     #[test]
@@ -301,8 +385,12 @@ mod tests {
         let (x, _) = a.alloc_raw(64).unwrap();
         let frontier_after_x = a.stats().frontier;
         a.free_raw(x, 64).unwrap();
+        fence(&a);
         assert_eq!(a.stats().free_blocks, 1);
+        let (z, _) = a.alloc_raw(16).unwrap();
+        a.free_raw(z, 16).unwrap();
         a.reset_to_frontier(frontier_after_x);
+        assert!(a.take_parked().is_none(), "parked blocks are volatile too");
         assert_eq!(a.stats().free_blocks, 0, "free lists are volatile");
         let (y, _) = a.alloc_raw(64).unwrap();
         // After reset the freed block is leaked; the new allocation comes from

@@ -42,6 +42,8 @@ const OFF_VERSION: u64 = 8;
 const OFF_CAPACITY: u64 = 16;
 const OFF_FRONTIER: u64 = 24;
 const OFF_CLEAN_SHUTDOWN: u64 = 32;
+/// Stripes of [`NvmPool`]'s per-line flush lock.
+const LINE_LOCKS: usize = 64;
 
 /// Configuration of an [`NvmPool`].
 #[derive(Debug, Clone, Copy)]
@@ -110,6 +112,13 @@ pub struct NvmPool {
     persistent: Box<[AtomicU64]>,
     /// Dirty bit per cacheline, packed 64 lines per word.
     dirty: Box<[AtomicU64]>,
+    /// Striped by cacheline: serializes a line's copy-out to the persistent
+    /// image (`clflush`) against non-temporal stores to the same line and
+    /// against other flushes of it. Without it a flush racing a store from
+    /// another thread (a checkpoint's `flush_all` next to a lock-free END
+    /// append) could copy a stale word over a fresh one, or return while a
+    /// concurrent flush of the same line is still copying it.
+    line_locks: Box<[parking_lot::Mutex<()>]>,
     /// Last cacheline charged as an NVM write, for same-line coalescing.
     last_persist_line: AtomicU64,
     stats: NvmStats,
@@ -295,6 +304,9 @@ impl NvmPool {
             volatile: zeroed_atomics(words),
             persistent: zeroed_atomics(words),
             dirty: zeroed_atomics(lines.div_ceil(64)),
+            line_locks: (0..LINE_LOCKS)
+                .map(|_| parking_lot::Mutex::new(()))
+                .collect(),
             last_persist_line: AtomicU64::new(u64::MAX),
             stats: NvmStats::new(),
             crash: CrashInjector::new(),
@@ -398,11 +410,29 @@ impl NvmPool {
         (addr.offset() as usize) / WORD
     }
 
+    /// Marks a line dirty after its volatile word was stored. Release pairs
+    /// with the Acquire of [`NvmPool::take_dirty`]: a flush that takes this
+    /// bit sees the store.
     #[inline]
     fn set_dirty(&self, line: u64) {
         let idx = (line / 64) as usize;
         let bit = 1u64 << (line % 64);
-        self.dirty[idx].fetch_or(bit, Ordering::Relaxed);
+        self.dirty[idx].fetch_or(bit, Ordering::Release);
+    }
+
+    /// Clears a line's dirty bit and reports whether it was set. A flush
+    /// clears the bit *before* it copies the line, so a store that lands
+    /// after the copy began leaves the line dirty for the next flush instead
+    /// of being lost.
+    #[inline]
+    fn take_dirty(&self, line: u64) -> bool {
+        let idx = (line / 64) as usize;
+        let bit = 1u64 << (line % 64);
+        self.dirty[idx].fetch_and(!bit, Ordering::Acquire) & bit != 0
+    }
+
+    fn line_lock(&self, line: u64) -> parking_lot::MutexGuard<'_, ()> {
+        self.line_locks[line as usize % LINE_LOCKS].lock()
     }
 
     #[inline]
@@ -517,12 +547,19 @@ impl NvmPool {
         );
         self.stats.record_nt_store();
         let idx = self.word_index(addr);
-        self.volatile[idx].store(val, Ordering::Release);
-        let interrupted = self.crash.on_persist_event();
+        let line = addr.cacheline();
+        let interrupted = {
+            let _line = self.line_lock(line);
+            self.volatile[idx].store(val, Ordering::Release);
+            let interrupted = self.crash.on_persist_event();
+            if !interrupted {
+                self.persistent[idx].store(val, Ordering::Release);
+                self.mark_wb(line);
+            }
+            interrupted
+        };
         if !interrupted {
-            self.persistent[idx].store(val, Ordering::Release);
-            self.charge_nvm_write(addr.cacheline());
-            self.mark_wb(addr.cacheline());
+            self.charge_nvm_write(line);
         }
     }
 
@@ -576,9 +613,15 @@ impl NvmPool {
         if interrupted {
             return;
         }
-        if self.is_dirty(line) {
-            self.persist_line(line);
-            self.clear_dirty(line);
+        let flushed = {
+            let _line = self.line_lock(line);
+            let dirty = self.take_dirty(line);
+            if dirty {
+                self.persist_line(line);
+            }
+            dirty
+        };
+        if flushed {
             self.charge_nvm_write(line);
         }
     }
@@ -600,7 +643,11 @@ impl NvmPool {
     /// stores. In the simulation the ordering is already strong, so the fence
     /// only charges its latency — which is exactly the cost the paper studies
     /// in its fence-sensitivity experiment (Figure 10).
+    ///
+    /// Blocks freed before the fence began become reusable once it completed
+    /// (see [`NvmPool::free`]); a fence that freezes the pool releases none.
     pub fn sfence(&self) {
+        let parked = self.alloc.take_parked();
         self.stats.record_fence();
         self.stats.charge_ns(self.cfg.cost.fence_latency_ns);
         self.emulated_wait(self.cfg.cost.fence_latency_ns);
@@ -617,6 +664,11 @@ impl NvmPool {
             // as it drops stores — the file stays at the crash point.
             if let Err(e) = self.flush_backend() {
                 self.record_io_failure(e);
+            }
+        }
+        if let Some(parked) = parked {
+            if !self.crash.is_frozen() {
+                self.alloc.release(parked);
             }
         }
     }
@@ -714,6 +766,11 @@ impl NvmPool {
 
     /// Returns a block to the allocator. Freeing is volatile bookkeeping; see
     /// the allocator documentation for the crash-leak policy.
+    ///
+    /// The block is handed out again only after the next [`NvmPool::sfence`]
+    /// has completed, so a store that made it garbage (say, a log cell
+    /// cleared with a non-temporal store just before this call) is durable
+    /// before the block's next owner can write to it. Freeing adds no fence.
     pub fn free(&self, addr: PAddr, size: usize) -> Result<()> {
         self.stats.record_free();
         self.alloc.free_raw(addr, size)
@@ -1002,6 +1059,7 @@ mod tests {
             p.write_u64(a.word(i), 0xdead);
         }
         p.free(a, 64).unwrap();
+        p.sfence();
         let b = p.alloc_zeroed(64).unwrap();
         assert_eq!(a, b, "free list should reuse the block");
         for i in 0..8 {
@@ -1123,6 +1181,36 @@ mod tests {
         for i in 0..128 {
             assert_eq!(p.read_u64(a.word(i)), i + 1);
         }
+    }
+
+    #[test]
+    fn a_flush_racing_a_store_from_another_thread_loses_nothing() {
+        // One thread stores and flushes a line; another keeps flushing the
+        // same line (a checkpoint's `flush_all` next to an append). Once the
+        // first thread's own flush returns, its store is persistent: a
+        // concurrent flush may take the dirty bit, but it copies the store
+        // and finishes copying before the first flush returns.
+        let p = pool();
+        let a = p.alloc(64).unwrap();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    p.clflush(a);
+                }
+            });
+            for v in 1..=20_000u64 {
+                p.write_u64(a, v);
+                p.write_u64(a.word(7), v);
+                p.clflush(a);
+                let got = (p.read_u64_persistent(a), p.read_u64_persistent(a.word(7)));
+                if got != (v, v) {
+                    stop.store(true, Ordering::Relaxed);
+                    panic!("store {v} lost by a racing flush: persistent {got:?}");
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]

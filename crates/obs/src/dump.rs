@@ -101,6 +101,7 @@ impl TraceDump {
                 }
             ),
             NetClose => format!("net CLOSE conn={} served={}", e.a, e.b),
+            Checkpoint => format!("log CHECKPOINT cleared={} ({} ns)", e.a, e.b),
         };
         format!("[{:>8}] t{:02} {}", e.seq, e.thread, what)
     }

@@ -137,6 +137,9 @@ pub struct Metrics {
     pub group_flush_ns: Histogram,
     /// Recovery pass duration.
     pub recovery_ns: Histogram,
+    /// Log checkpoint duration (the pause a checkpoint puts into the write
+    /// path that triggered it).
+    pub checkpoint_ns: Histogram,
     /// Lock-order restarts observed by coordinators.
     pub restarts: Counter,
     /// Serial-gate fallbacks taken by coordinators.
@@ -174,6 +177,7 @@ impl Metrics {
             two_phase_ns: self.two_phase_ns.snapshot(),
             group_flush_ns: self.group_flush_ns.snapshot(),
             recovery_ns: self.recovery_ns.snapshot(),
+            checkpoint_ns: self.checkpoint_ns.snapshot(),
             restarts: self.restarts.get(),
             serial_fallbacks: self.serial_fallbacks.get(),
             queue_depth: self.queue_depth.snapshot(),
@@ -200,6 +204,8 @@ pub struct MetricsSnapshot {
     pub group_flush_ns: HistSnapshot,
     /// Recovery duration distribution.
     pub recovery_ns: HistSnapshot,
+    /// Checkpoint duration distribution.
+    pub checkpoint_ns: HistSnapshot,
     /// Lock-order restarts.
     pub restarts: u64,
     /// Serial-gate fallbacks.
@@ -228,6 +234,7 @@ impl MetricsSnapshot {
             two_phase_ns: self.two_phase_ns.merge(&other.two_phase_ns),
             group_flush_ns: self.group_flush_ns.merge(&other.group_flush_ns),
             recovery_ns: self.recovery_ns.merge(&other.recovery_ns),
+            checkpoint_ns: self.checkpoint_ns.merge(&other.checkpoint_ns),
             restarts: self.restarts + other.restarts,
             serial_fallbacks: self.serial_fallbacks + other.serial_fallbacks,
             queue_depth: self.queue_depth.merge(&other.queue_depth),
@@ -258,6 +265,7 @@ impl MetricsSnapshot {
         hist("two_phase", &self.two_phase_ns);
         hist("group_flush", &self.group_flush_ns);
         hist("recovery", &self.recovery_ns);
+        hist("checkpoint", &self.checkpoint_ns);
         hist("net", &self.net_op_ns);
         // Queue depth is a count distribution, not a latency: no unit
         // conversion, and only the tail quantiles are worth gating.
@@ -592,6 +600,7 @@ mod tests {
         obs.emit(EventKind::NetSettle, 42, 1, 9000);
         obs.emit(EventKind::NetBusy, 43, 1, 0);
         obs.emit(EventKind::NetClose, 0, 1, 2);
+        obs.emit(EventKind::Checkpoint, 0, 300, 5000);
         let rendered = obs.dump().render();
         for needle in [
             "net ACCEPT conn=1",
@@ -600,6 +609,7 @@ mod tests {
             "net SETTLE req=42",
             "net BUSY req=43 conn=1 (window overflow)",
             "net CLOSE conn=1 served=2",
+            "log CHECKPOINT cleared=300 (5000 ns)",
         ] {
             assert!(rendered.contains(needle), "missing {needle:?}:\n{rendered}");
         }

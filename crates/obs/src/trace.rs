@@ -97,6 +97,8 @@ pub enum EventKind {
     NetBusy = 27,
     /// A connection closed (`a` = connection id, `b` = requests served).
     NetClose = 28,
+    /// A log checkpoint finished (`a` = records cleared, `b` = duration ns).
+    Checkpoint = 29,
 }
 
 impl EventKind {
@@ -131,6 +133,7 @@ impl EventKind {
             26 => NetSettle,
             27 => NetBusy,
             28 => NetClose,
+            29 => Checkpoint,
             _ => return None,
         })
     }

@@ -25,6 +25,7 @@ use crate::config::Policy;
 use crate::record::RecordType;
 use crate::txn::{Backend, SlotRef, TransactionManager, TxHandle, TxId, TxStatus};
 use crate::Result;
+use rewind_obs::{EventKind, Obs};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -34,11 +35,27 @@ impl TransactionManager {
     /// transaction and performs their deferred de-allocations.
     ///
     /// Returns the number of log records removed.
+    ///
+    /// With an enabled observability handle the pass records its duration in
+    /// the `checkpoint_ns` histogram and ends with a
+    /// [`EventKind::Checkpoint`] trace event (`a` = records removed, `b` =
+    /// ns), so a trace shows where a checkpoint paused the write path.
     pub fn checkpoint(&self) -> Result<u64> {
         let _guard = self.checkpoint_lock.lock();
+        let t0 = self.obs.clock();
         self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.records_since_checkpoint.store(0, Ordering::Relaxed);
+        let removed = self.checkpoint_pass()?;
+        if t0.is_some() {
+            let ns = Obs::elapsed_ns(t0);
+            self.obs.metrics().checkpoint_ns.record(ns);
+            self.obs.emit(EventKind::Checkpoint, 0, removed, ns);
+        }
+        Ok(removed)
+    }
 
+    /// The body of [`TransactionManager::checkpoint`], run under its lock.
+    fn checkpoint_pass(&self) -> Result<u64> {
         if self.cfg.policy == Policy::Force {
             self.pool.flush_all();
             return Ok(0);
@@ -65,33 +82,53 @@ impl TransactionManager {
                 self.pool.flush_all();
 
                 // 3. Clear the registered records of finished transactions up
-                //    to the cut-off, END records last; honour DELETE records.
-                //    Records past the cut-off stay registered (and their
-                //    entry stays in the table) for the next checkpoint. The
-                //    handles are cloned under the table lock but their
-                //    mutexes are only taken after it is released, so
-                //    concurrent begin/commit never stalls behind this pass.
+                //    to the cut-off; honour DELETE records. Records past the
+                //    cut-off stay registered (and their entry stays in the
+                //    table) for the next checkpoint. The handles are cloned
+                //    under the table lock but their mutexes are only taken
+                //    after it is released, so concurrent begin/commit never
+                //    stalls behind this pass.
                 let candidates: Vec<(TxId, TxHandle)> = self
                     .table
                     .lock()
                     .iter()
                     .map(|(t, h)| (*t, Arc::clone(h)))
                     .collect();
+                let mut work: Vec<(usize, SlotRef)> = Vec::new();
+                for (i, (_, handle)) in candidates.iter().enumerate() {
+                    let mut e = handle.lock();
+                    if e.status != TxStatus::Finished {
+                        continue;
+                    }
+                    let (now, keep): (Vec<SlotRef>, Vec<SlotRef>) =
+                        e.slots.drain(..).partition(|r| r.lsn <= ckpt_lsn);
+                    e.slots = keep;
+                    work.extend(now.into_iter().map(|r| (i, r)));
+                }
+                // One pass over all of them, oldest record first and every
+                // END record after every other record. A crash part-way then
+                // leaves, for each word, only its newest records in the log,
+                // and every END: recovery's redo re-applies exactly the
+                // newest values. Clearing transaction by transaction (in
+                // table order) could remove a newer update of a word while
+                // an older one survives, and redo would then write the old
+                // value over the checkpointed data.
+                work.sort_by_key(|(_, r)| (r.rtype == RecordType::End, r.lsn));
+                for (k, (_, r)) in work.iter().enumerate() {
+                    if let Err(e) = self.clear_one(log, r, true) {
+                        // Push the unprocessed tail back, so a later
+                        // checkpoint resumes instead of orphaning records.
+                        for (i, r) in &work[k..] {
+                            candidates[*i].1.lock().slots.push(*r);
+                        }
+                        return Err(e);
+                    }
+                    removed += 1;
+                }
                 let mut fully_cleared = Vec::new();
                 for (txid, handle) in &candidates {
-                    let clear_now: Vec<SlotRef> = {
-                        let mut e = handle.lock();
-                        if e.status != TxStatus::Finished {
-                            continue;
-                        }
-                        let (now, keep) = e.slots.drain(..).partition(|r| r.lsn <= ckpt_lsn);
-                        e.slots = keep;
-                        now
-                    };
-                    let n = clear_now.len() as u64;
-                    self.clear_registered_slots(log, handle, clear_now, true)?;
-                    removed += n;
-                    if handle.lock().slots.is_empty() {
+                    let e = handle.lock();
+                    if e.status == TxStatus::Finished && e.slots.is_empty() {
                         fully_cleared.push(*txid);
                     }
                 }

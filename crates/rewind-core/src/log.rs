@@ -619,6 +619,26 @@ mod tests {
     }
 
     #[test]
+    fn a_cleared_record_line_is_not_reused_before_a_fence() {
+        // Clearing writes the gap (or unlinks the node) without a fence of
+        // its own. Until one completes, the line must not go to the next
+        // append: its new content could reach the medium before the gap, and
+        // recovery would then read another record through the old cell.
+        for s in all_structures() {
+            let p = pool();
+            let log = RecoverableLog::create(Arc::clone(&p), &cfg(s)).unwrap();
+            let (addr, slot) = log.append(&rec(1, 1)).unwrap();
+            log.flush_pending().unwrap();
+            log.clear_slot(slot).unwrap();
+            let next = p.alloc(RECORD_SIZE).unwrap();
+            assert_ne!(next, addr, "structure {s:?}: line reused before a fence");
+            p.sfence();
+            let after = p.alloc(RECORD_SIZE).unwrap();
+            assert_eq!(after, addr, "structure {s:?}: line reusable after a fence");
+        }
+    }
+
+    #[test]
     fn append_and_scan_preserve_order() {
         for s in all_structures() {
             let p = pool();

@@ -1008,19 +1008,27 @@ impl TransactionManager {
             slots.into_iter().partition(|r| r.rtype != RecordType::End);
         work.extend(ends);
         for (i, r) in work.iter().enumerate() {
-            let step = (|| {
-                if process_deletes && r.rtype == RecordType::Delete {
-                    let rec = LogRecord::read_from(&self.pool, r.addr)?;
-                    self.pool.free(rec.addr, rec.old as usize)?;
-                }
-                log.clear_slot(r.slot)
-            })();
-            if let Err(e) = step {
+            if let Err(e) = self.clear_one(log, r, process_deletes) {
                 handle.lock().slots.extend_from_slice(&work[i..]);
                 return Err(e);
             }
         }
         Ok(())
+    }
+
+    /// Clears one registered record, first performing its deferred
+    /// de-allocation if it is a DELETE and `process_deletes` is set.
+    pub(crate) fn clear_one(
+        &self,
+        log: &RecoverableLog,
+        r: &SlotRef,
+        process_deletes: bool,
+    ) -> Result<()> {
+        if process_deletes && r.rtype == RecordType::Delete {
+            let rec = LogRecord::read_from(&self.pool, r.addr)?;
+            self.pool.free(rec.addr, rec.old as usize)?;
+        }
+        log.clear_slot(r.slot)
     }
 
     /// Registry-less clearing: the one-layer branch performs the full log

@@ -198,3 +198,30 @@ fn delete_heavy_workload_triggers_auto_checkpoints() {
     );
     assert!(tm.log_len() < 120, "log stays bounded: {}", tm.log_len());
 }
+
+#[test]
+fn checkpoints_show_up_in_the_trace_and_the_histogram() {
+    use rewind_obs::{EventKind, Obs};
+    let p = pool();
+    let obs = Obs::enabled();
+    let cfg = RewindConfig::batch().checkpoint_every(32);
+    let tm = TransactionManager::create_with_obs(Arc::clone(&p), cfg, obs.clone()).unwrap();
+    let data = p.alloc(64 * 8).unwrap();
+    for i in 0..40u64 {
+        tm.run(|tx| tx.write_u64(data.word(i % 64), i + 1)).unwrap();
+    }
+    let taken = tm.stats().checkpoints;
+    assert!(taken >= 1, "40 two-record transactions cross 32 records");
+    let events: Vec<_> = obs
+        .dump()
+        .events
+        .into_iter()
+        .filter(|e| e.kind == EventKind::Checkpoint)
+        .collect();
+    assert_eq!(events.len() as u64, taken, "one event per checkpoint");
+    assert!(
+        events.iter().any(|e| e.a > 0),
+        "a checkpoint after finished transactions clears records: {events:?}"
+    );
+    assert_eq!(obs.metrics_snapshot().checkpoint_ns.count, taken);
+}

@@ -368,6 +368,46 @@ fn crash_sweep_through_commit_gives_all_or_nothing() {
 }
 
 #[test]
+fn a_crash_inside_a_checkpoint_never_brings_back_an_older_value() {
+    // Six committed transactions overwrite the same four words, then a
+    // checkpoint clears all of them. Wherever a crash interrupts the
+    // clearing, the records left in the log must be the newest ones: redo
+    // re-applies them over the data the checkpoint flushed, and an older
+    // record that outlived a newer one would write its stale value back.
+    const ROUNDS: u64 = 6;
+    let cfg = RewindConfig::batch().bucket_size(16).group_size(4);
+    let run = |crash_at: Option<u64>| -> (u64, Vec<u64>) {
+        let p = pool();
+        let tm = TransactionManager::create(Arc::clone(&p), cfg).unwrap();
+        let data = alloc_words(&p, 4);
+        for r in 1..=ROUNDS {
+            tm.run(|tx| (0..4).try_for_each(|i| tx.write_u64(data.word(i), r * 10 + i)))
+                .unwrap();
+        }
+        let before = p.crash_injector().observed_events();
+        if let Some(at) = crash_at {
+            p.crash_injector().arm_after(at);
+        }
+        let _ = tm.checkpoint();
+        let events = p.crash_injector().observed_events() - before;
+        drop(tm);
+        p.power_cycle();
+        let _tm = TransactionManager::open(Arc::clone(&p), cfg).unwrap();
+        (events, (0..4).map(|i| p.read_u64(data.word(i))).collect())
+    };
+    let newest: Vec<u64> = (0..4).map(|i| ROUNDS * 10 + i).collect();
+    let (window, clean) = run(None);
+    assert_eq!(clean, newest);
+    for crash_at in 1..=window {
+        let (_, got) = run(Some(crash_at));
+        assert_eq!(
+            got, newest,
+            "crash {crash_at} of {window} inside the checkpoint"
+        );
+    }
+}
+
+#[test]
 fn deferred_deallocation_happens_only_after_clearing() {
     let p = pool();
     let cfg = RewindConfig::batch().policy(Policy::Force);

@@ -3,6 +3,13 @@
 use rewind_core::RewindConfig;
 use rewind_nvm::{CostModel, CrashMode};
 
+/// Log records a shard appends between two automatic checkpoints under
+/// [`ShardConfig::new`]. Each checkpoint flushes the shard's dirty lines and
+/// clears the records of every finished transaction (paper §4.6), so the live
+/// log, the pool's working set and the work a reopen replays stay bounded by
+/// about this many records per shard instead of growing with every write.
+pub const CHECKPOINT_EVERY: u64 = 16_384;
+
 /// How a sharded store is laid out and how its group-commit pipeline behaves.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardConfig {
@@ -39,13 +46,15 @@ pub struct ShardConfig {
 impl ShardConfig {
     /// A store with `shards` shards and defaults matching the paper's
     /// evaluation substrate: 32 MiB pools, the Batch log under the no-force
-    /// policy, groups of up to 64 operations, paper NVM latencies.
+    /// policy with an automatic checkpoint every [`CHECKPOINT_EVERY`] log
+    /// records per shard, groups of up to 64 operations, paper NVM
+    /// latencies.
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "a sharded store needs at least one shard");
         ShardConfig {
             shards,
             shard_capacity: 32 << 20,
-            rewind: RewindConfig::batch(),
+            rewind: RewindConfig::batch().checkpoint_every(CHECKPOINT_EVERY),
             max_group: 64,
             group_wait_us: 40,
             queued_prepare: true,
@@ -120,6 +129,11 @@ mod tests {
             "queued prepare defaults on"
         );
         assert_eq!(ShardConfig::new(1).max_group(0).max_group, 1);
+        assert_eq!(
+            ShardConfig::new(1).rewind.checkpoint_every,
+            Some(CHECKPOINT_EVERY),
+            "the shipped store checkpoints"
+        );
     }
 
     #[test]

@@ -105,7 +105,7 @@ mod group;
 mod shard;
 mod store;
 
-pub use config::ShardConfig;
+pub use config::{ShardConfig, CHECKPOINT_EVERY};
 pub use coordinator::{CoordinatorStats, StoreTx};
 pub use frontend::TxCompletion;
 pub use group::{Completion, GroupCommitSnapshot};

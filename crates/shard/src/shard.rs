@@ -312,6 +312,12 @@ impl ShardCore {
         self.inner.lock().tm.stats()
     }
 
+    /// Live records in the shard's REWIND log (what the next checkpoint or
+    /// recovery pass would walk).
+    pub(crate) fn log_records(&self) -> u64 {
+        self.inner.lock().tm.log_len()
+    }
+
     pub(crate) fn last_recovery(&self) -> Option<RecoveryReport> {
         self.inner.lock().tm.last_recovery()
     }

@@ -705,6 +705,7 @@ impl ShardedStore {
             agg.entries += s.entries;
             agg.group = agg.group.merge(&s.group);
             agg.tm = agg.tm.merge(&s.tm);
+            agg.log_records += s.log_records;
             agg.nvm = agg.nvm.merge(&s.nvm);
             agg.alloc = agg.alloc.merge(&s.alloc);
             if let Some(r) = s.last_recovery {
@@ -727,6 +728,7 @@ impl ShardedStore {
                 entries: s.len_or_zero(),
                 group: s.group_stats(),
                 tm: s.tm_stats(),
+                log_records: s.log_records(),
                 nvm: s.pool().stats(),
                 alloc: s.pool().alloc_stats(),
                 last_recovery: s.last_recovery(),
@@ -746,6 +748,9 @@ pub struct ShardSnapshot {
     pub group: GroupCommitSnapshot,
     /// Transaction-manager counters.
     pub tm: TmStatsSnapshot,
+    /// Live records in the shard's log. Checkpoints bound it; without them
+    /// it grows with every write.
+    pub log_records: u64,
     /// NVM substrate counters of the shard's pool.
     pub nvm: StatsSnapshot,
     /// Allocator counters of the shard's pool (slab/freelist churn).
@@ -765,6 +770,8 @@ pub struct ShardStats {
     pub group: GroupCommitSnapshot,
     /// Summed transaction-manager counters.
     pub tm: TmStatsSnapshot,
+    /// Live log records summed over the shards.
+    pub log_records: u64,
     /// Summed NVM substrate counters.
     pub nvm: StatsSnapshot,
     /// Summed allocator counters (the `frontier` component reads as the

@@ -752,3 +752,121 @@ fn read_only_participants_are_never_prepared_or_in_doubt() {
          (window {window})"
     );
 }
+
+/// One run of the checkpoint × queued-prepare scenario: a 4-shard store on
+/// the shipped no-force log, checkpointing every 64 records.
+/// One thread runs `rounds` cross-shard transactions over one key per shard
+/// (round `r` writes `[r, r + 1, r + 2, r + 3]` everywhere); queued prepare
+/// releases the shard locks at each decision, so a second thread's
+/// group-committed PUTs, and the checkpoints they trigger, run while phase
+/// 2 is in flight. `victim`'s pool is armed to crash after `crash_at`
+/// persist events (`None`: no crash, the twin run). Returns the victim's
+/// persist events over the workload and the checkpoints the store took.
+///
+/// Heap pools: a no-force commit's END record seals its log group with a
+/// fence, so an acknowledged commit is durable in the in-process crash
+/// model.
+fn checkpointing_2pc_run(victim: usize, crash_at: Option<u64>) -> (u64, u64) {
+    const ROUNDS: u64 = 12;
+    const FILLERS: u64 = 240;
+    let round_val = |r: u64| [r, r + 1, r + 2, r + 3];
+    let cfg = ShardConfig::new(4)
+        .shard_capacity(8 << 20)
+        .rewind(RewindConfig::batch().checkpoint_every(64));
+    let store = Arc::new(ShardedStore::create(cfg).unwrap());
+    let keys = one_key_per_shard(&store);
+    for &k in &keys {
+        store.put(k, round_val(0)).unwrap();
+    }
+    let injector = store.shard_pool(victim).crash_injector();
+    let before = injector.observed_events();
+    if let Some(at) = crash_at {
+        injector.arm_after(at);
+    }
+    let any_frozen = |store: &ShardedStore| {
+        (0..store.shard_count()).any(|s| store.shard_pool(s).crash_injector().is_frozen())
+    };
+    // Acked while every pool was live ⇒ durable.
+    let (acked_round, acked_fillers) = std::thread::scope(|s| {
+        let txns = s.spawn(|| {
+            let mut acked = 0;
+            for r in 1..=ROUNDS {
+                let ok = store
+                    .transact_keys(&keys, |tx| {
+                        for &k in &keys {
+                            tx.put(k, round_val(r))?;
+                        }
+                        Ok(())
+                    })
+                    .is_ok();
+                if ok && !any_frozen(&store) {
+                    acked = r;
+                }
+            }
+            acked
+        });
+        let mut acked = Vec::new();
+        let pending: Vec<(u64, Completion)> = (0..FILLERS)
+            .map(|i| {
+                let k = 500_000 + i;
+                (k, store.submit_put(k, old_val(k)))
+            })
+            .collect();
+        for (k, c) in pending {
+            if c.wait().is_ok()
+                && !store
+                    .shard_pool(store.shard_of(k))
+                    .crash_injector()
+                    .is_frozen()
+            {
+                acked.push(k);
+            }
+        }
+        (txns.join().unwrap(), acked)
+    });
+    let events = injector.observed_events() - before;
+    let checkpoints = store.stats().tm.checkpoints;
+
+    store.power_cycle();
+    store.recover().unwrap();
+    let got: Vec<Option<Value>> = keys.iter().map(|&k| store.get(k).unwrap()).collect();
+    let round = got[0].map(|v| v[0]);
+    let whole = round.is_some_and(|r| got.iter().all(|v| *v == Some(round_val(r))));
+    if !whole || round.unwrap() < acked_round {
+        dump_trace(&store, &format!("checkpoint_2pc_v{victim}_c{crash_at:?}"));
+        panic!(
+            "REWIND_CRASH_SEED={} victim {victim} crash_at {crash_at:?}: keys {got:?}, \
+             last acked round {acked_round}",
+            crash_seed()
+        );
+    }
+    for k in acked_fillers {
+        assert_eq!(
+            store.get(k).unwrap(),
+            Some(old_val(k)),
+            "REWIND_CRASH_SEED={} victim {victim} crash_at {crash_at:?}: acked PUT {k} lost",
+            crash_seed()
+        );
+    }
+    (events, checkpoints)
+}
+
+#[test]
+fn crash_matrix_with_checkpoints_and_queued_prepare() {
+    // Crashes land in checkpoints (flush, clearing pass, marker clear) that
+    // run while queued-prepare transactions are between decision and END.
+    // Oracle: every round is all-or-nothing across the four shards, and no
+    // round or PUT acknowledged before the crash is lost. Victims: the
+    // decision host (shard 0) and a plain participant.
+    let seed = crash_seed();
+    for victim in [0, 2] {
+        let (window, checkpoints) = checkpointing_2pc_run(victim, None);
+        assert!(checkpoints >= 4, "the workload checkpoints every shard");
+        let step = (window / 8).max(1);
+        let mut crash_at = 1 + seed % step;
+        while crash_at <= window {
+            checkpointing_2pc_run(victim, Some(crash_at));
+            crash_at += step;
+        }
+    }
+}

@@ -165,3 +165,96 @@ fn sharded_tpcc_on_file_pools_audits_clean_across_dirty_reopen() {
     db.store().shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A long-running store on the shipped defaults stays in fixed space.
+///
+/// Two file-backed 4 MiB shards take overwriting PUTs over a fixed key set.
+/// Every shard checkpoints every `CHECKPOINT_EVERY` log records, so the live
+/// log stays bounded, and the allocator hands the freed record lines and
+/// emptied buckets out again. Without checkpoints the same store runs out of
+/// pool space after about 26 000 PUTs; this run takes more than ten times
+/// that in one open, and over its second half neither the pool files nor
+/// the live log grow.
+///
+/// The allocator's free lists are volatile: a reopen restarts from the
+/// persisted bump frontier and loses the space freed before it. That is why
+/// the store stays open for the whole run.
+#[test]
+fn a_checkpointing_store_runs_in_fixed_space() {
+    use rewind::shard::{shard_file_name, CHECKPOINT_EVERY};
+    use std::collections::VecDeque;
+
+    const SHARDS: usize = 2;
+    const KEYS: u64 = 2048;
+    const PUTS: u64 = 300_000;
+    const WINDOW: usize = 256;
+    let dir = tmppath("soak");
+    let cfg = ShardConfig::new(SHARDS).shard_capacity(4 << 20);
+    let store = ShardedStore::create_file(cfg, &dir).unwrap();
+    let file_bytes = || -> u64 {
+        (0..SHARDS)
+            .map(|s| {
+                std::fs::metadata(dir.join(shard_file_name(s)))
+                    .unwrap()
+                    .len()
+            })
+            .sum()
+    };
+
+    let mut inflight = VecDeque::with_capacity(WINDOW);
+    let mut settled = 0u64;
+    let mut settle = |c: Completion| {
+        if let Err(e) = c.wait() {
+            panic!("PUT #{settled} failed: {e}");
+        }
+        settled += 1;
+    };
+    let mut mid_file_bytes = 0;
+    let mut max_log_second_half = 0;
+    for i in 0..PUTS {
+        inflight.push_back(store.submit_put(i % KEYS, value_from_seed(i)));
+        if inflight.len() == WINDOW {
+            settle(inflight.pop_front().unwrap());
+        }
+        if i == PUTS / 2 {
+            mid_file_bytes = file_bytes();
+        }
+        if i > PUTS / 2 && i % 4096 == 0 {
+            for s in store.per_shard_stats() {
+                max_log_second_half = max_log_second_half.max(s.log_records);
+            }
+        }
+    }
+    inflight.into_iter().for_each(&mut settle);
+    assert_eq!(settled, PUTS);
+
+    let stats = store.stats();
+    let end_file_bytes = file_bytes();
+    eprintln!(
+        "soak: {PUTS} PUTs, {} checkpoints, files {mid_file_bytes} -> {end_file_bytes} B, \
+         max live log records per shard over the second half {max_log_second_half}",
+        stats.tm.checkpoints
+    );
+    assert!(stats.tm.checkpoints > 0, "the shipped store checkpoints");
+    // Flat, up to the few lines a group allocates while the lines freed by
+    // a checkpoint still wait for the next fence (without checkpoints the
+    // second half alone would need about six times the whole pool).
+    assert!(
+        end_file_bytes <= mid_file_bytes + mid_file_bytes / 100,
+        "pool files grew over the second half: {mid_file_bytes} -> {end_file_bytes} B"
+    );
+    assert!(
+        max_log_second_half <= 2 * CHECKPOINT_EVERY,
+        "live log reached {max_log_second_half} records on a shard"
+    );
+    for k in 0..KEYS {
+        let last = (PUTS - 1) - ((PUTS - 1 - k) % KEYS);
+        assert_eq!(
+            store.get(k).unwrap(),
+            Some(value_from_seed(last)),
+            "key {k}"
+        );
+    }
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}

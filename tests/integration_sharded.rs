@@ -44,21 +44,95 @@ fn force_cfg() -> RewindConfig {
 
 #[test]
 fn crash_mid_group_commit_on_one_shard_recovers_whole_store() {
-    // Sweep the crash point across the persist events of a burst of
-    // group-committed writes landing on one shard, while the other shards
-    // keep committing. After whole-store recovery: every committed group
-    // survives, the interrupted group rolled back entirely, and every other
-    // shard is intact. The environment seed shifts the sweep so repeated CI
-    // runs walk different crash points.
     let start = 5 + crash_seed() % 35;
-    for crash_at in (start..=400u64).step_by(35) {
-        let store = ShardedStore::create(
+    group_commit_crash_matrix((start..=400u64).step_by(35), true, || {
+        ShardedStore::create(
             ShardConfig::new(4)
                 .shard_capacity(16 << 20)
                 .rewind(force_cfg()),
         )
-        .unwrap();
+        .unwrap()
+    });
+}
 
+/// The same matrix on the shipped no-force log with a checkpoint every 64
+/// records, so crash points land inside `flush_all`, the clearing pass and
+/// the marker clear. File-backed: there a commit fences its END record
+/// before it returns, which is what makes an acknowledged no-force commit
+/// durable.
+#[test]
+fn crash_mid_group_commit_with_frequent_checkpoints() {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let start = 3 + crash_seed() % 11;
+    let crash_points = (start..=400u64).step_by(11);
+    let dirs = std::cell::RefCell::new(Vec::new());
+    let make_store = || {
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("rewind-sharded-ckpt-{}-{n}", std::process::id()));
+        dirs.borrow_mut().push(dir.clone());
+        ShardedStore::create_file(
+            ShardConfig::new(4)
+                .shard_capacity(16 << 20)
+                .rewind(RewindConfig::batch().checkpoint_every(64)),
+            &dir,
+        )
+        .unwrap()
+    };
+    // Twin-measured: the victim's persist events inside the PUTs that ran a
+    // checkpoint. Some crash points of the sweep must fall there.
+    let windows = checkpointing_put_windows(&make_store());
+    let inside = crash_points
+        .clone()
+        .filter(|c| windows.iter().any(|(lo, hi)| lo < c && c <= hi))
+        .count();
+    assert!(
+        inside > 0,
+        "REWIND_CRASH_SEED={}: no crash point inside a checkpoint {windows:?}",
+        crash_seed()
+    );
+    group_commit_crash_matrix(crash_points, false, make_store);
+    for dir in dirs.into_inner() {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Runs the matrix's workload unarmed and returns, as persist events of the
+/// victim's pool counted from the arming point, the `(before, after]` range
+/// of every PUT during which the victim took a checkpoint.
+fn checkpointing_put_windows(store: &ShardedStore) -> Vec<(u64, u64)> {
+    for k in 0..120u64 {
+        store.put(k, val(k)).unwrap();
+    }
+    let victim = store.shard_of(0);
+    let events = || store.shard_pool(victim).crash_injector().observed_events();
+    let checkpoints = || store.per_shard_stats()[victim].tm.checkpoints;
+    let armed_at = events();
+    let mut windows = Vec::new();
+    for k in 0..120u64 {
+        let (e0, c0) = (events(), checkpoints());
+        store.put(k, val(k + 10_000)).unwrap();
+        if checkpoints() > c0 {
+            windows.push((e0 - armed_at, events() - armed_at));
+        }
+    }
+    windows
+}
+
+/// Sweeps the crash point across the persist events of a burst of
+/// group-committed writes landing on one shard, while the other shards keep
+/// committing. After whole-store recovery: every committed group survives,
+/// the interrupted group rolled back entirely, and every other shard is
+/// intact. The environment seed shifts the sweep so repeated CI runs walk
+/// different crash points.
+fn group_commit_crash_matrix(
+    crash_points: impl Iterator<Item = u64>,
+    force: bool,
+    make_store: impl Fn() -> ShardedStore,
+) {
+    let mut checkpoints = 0;
+    for crash_at in crash_points {
+        let store = make_store();
         // Committed base state spread over every shard.
         for k in 0..120u64 {
             store.put(k, val(k)).unwrap();
@@ -74,8 +148,9 @@ fn crash_mid_group_commit_on_one_shard_recovers_whole_store() {
         // Keep writing everywhere. Writes to the victim shard silently stop
         // persisting once the injector fires; the other shards are
         // unaffected. The oracle records a write as durable only if its
-        // shard's pool was still live after the put returned (force policy:
-        // commit returned => durable). Exactly one group on the victim can
+        // shard's pool was still live after the put returned (a returned
+        // commit is durable: under the force policy, or on a file pool, whose
+        // commit fences its END record). Exactly one group on the victim can
         // straddle the crash point; its keys may hold either value.
         let mut oracle: HashMap<u64, Value> = HashMap::new();
         let mut straddler: Option<(u64, Value)> = None;
@@ -94,10 +169,11 @@ fn crash_mid_group_commit_on_one_shard_recovers_whole_store() {
         }
 
         // Whole-store power failure and recovery.
+        checkpoints += store.stats().tm.checkpoints;
         store.power_cycle();
         let report = store.recover().unwrap();
         assert!(
-            report.log_cleared,
+            !force || report.log_cleared,
             "REWIND_CRASH_SEED={} crash_at {crash_at}: force-policy recovery \
              clears every shard's log",
             crash_seed()
@@ -132,6 +208,9 @@ fn crash_mid_group_commit_on_one_shard_recovers_whole_store() {
             store.put(k, val(k)).unwrap();
             assert_eq!(store.get(k).unwrap(), Some(val(k)));
         }
+    }
+    if !force {
+        assert!(checkpoints > 0, "the sweep never reached a checkpoint");
     }
 }
 
